@@ -1,0 +1,60 @@
+"""Byte-identical reports: sha256 digests of CLI stdout and exit code.
+
+The digests pin the natural-system exports, the openness reports and the
+bisimulation reports of the bundled gallery, so a refactor of the map or
+valuation layers cannot change a report unnoticed.  A digest covers the
+exit code, a newline and the whole stdout.
+"""
+
+import hashlib
+
+import pytest
+
+from ditop.cli import main
+
+GOLDEN = {
+    "natsys FIX-EDGE --val pi0": "3514121edc16eb2ac9a37bcbd6c5bb09577f2a8aed37d561f1bba2122cafd541",
+    "check-open --comparison FIX-EDGE --val pi0": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-EDGE --val hom:1": "0521965adb741cf3d869e50924a0ef49725833f76d0812a007358904ae72d158",
+    "check-open --comparison FIX-EDGE --val hom:1": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-EDGE-split --val pi0": "df17d20825e3ca84fd7c953bf03cac858a6491f29b5b5a060194aebe0ede7aaa",
+    "check-open --comparison FIX-EDGE-split --val pi0": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-EDGE-split --val hom:1": "c2aba6d4a5a97cbbad15d8a1ebc6fcdb76eeac90d7d734c34a254fcc80e9fd58",
+    "check-open --comparison FIX-EDGE-split --val hom:1": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-B --val pi0": "b9b189c1fb837096aaaa54680ed5f4239778f8921195f4ce725878b47ae9e31f",
+    "check-open --comparison FIX-B --val pi0": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-B --val hom:1": "868238422b9d345f7d5a7e6bd07907c1571e1cb1f2e5318c209017733a7ce2c4",
+    "check-open --comparison FIX-B --val hom:1": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-A --val pi0": "a311a1e9413ac649bd0dd7f36ad069eca3fdc596126697830fb91fc9478f2e08",
+    "check-open --comparison FIX-A --val pi0": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-A --val hom:1": "ddee19a4aa087c0a0de626ccb03985561b93bcadbb8021f2c185b9ce446420c1",
+    "check-open --comparison FIX-A --val hom:1": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-SQUARE --val pi0": "d205a4f5068bc5ad60cc37b5e8b5a9fefcd4585d14db4a65a9fbdc4dab13310e",
+    "check-open --comparison FIX-SQUARE --val pi0": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-SQUARE --val hom:1": "97a82d2e65f07a7cd5414b6211d7067eaf689c82e85ac39f483f3c9c5842bb72",
+    "check-open --comparison FIX-SQUARE --val hom:1": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-HOLLOW --val pi0": "694f26b616a01cf3ae7b570988d262370dcf289f2b9a14ec90b6f6c9f280c3b1",
+    "check-open --comparison FIX-HOLLOW --val pi0": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-HOLLOW --val hom:1": "0cd234f3b261dce0879a1741ee6a22ffe45b085c832c99f11bc4dc38a625b568",
+    "check-open --comparison FIX-HOLLOW --val hom:1": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-TWOCELLS --val pi0": "335de7d8e6a4ce9a1f111209934e70631513ed53e8e88f956ab681cdcfa029d9",
+    "check-open --comparison FIX-TWOCELLS --val pi0": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-TWOCELLS --val hom:1": "70ccbed7f7ae8f2669cf47ee4e22fdff18438ccaaeec7cea6a6ae85cba8ffc75",
+    "check-open --comparison FIX-TWOCELLS --val hom:1": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-LOOPCELL --val pi0": "d62cbc22e23dd000ec345f3b00d9376bf7c7abc37b2440dd8ea4b382f9c2e9bb",
+    "check-open --comparison FIX-LOOPCELL --val pi0": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "natsys FIX-LOOPCELL --val hom:1": "d50fb08efe3de9622d9f87421f25b6fe3d58a4f9b2d03dfa5b4efa643be70ce4",
+    "check-open --comparison FIX-LOOPCELL --val hom:1": "e82c98ba069571bef8bdc53ed440ae1a135a426c0fdee2f4922b91fec322d9ab",
+    "check-open crush.cmap FIX-A FIX-B": "7d09ef8f617deb07b945c417951bdb9dd98245fa549abe0b87bd565e097ab1fc",
+    "check-open crush.cmap FIX-A FIX-B --val hom:1": "c24ff95b30049128ce38a714ddf52d780f76d0ed0919d7d9c59399c9cb9f7df1",
+    "bisim FIX-A FIX-B": "efbddffb908fe5ea09480c670f7659577a6b1d7283f70f275ddfcd344b54f0bb",
+    "bisim FIX-EDGE FIX-EDGE-split": "80a6e601df334bc5880c7a1599a4d9906a4897575dea40a79fee72e139222844",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_report_digest(argv, capsys):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == GOLDEN[argv]
