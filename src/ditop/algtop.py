@@ -5,7 +5,9 @@ alternating-sign boundary sum_j (-1)^j (d_j^0 - d_j^1).  Everything is
 arbitrary-precision integer arithmetic: Smith normal form with tracked
 unimodular transforms (and their inverses), homology groups as rank plus
 invariant-factor torsion, adapted generator bases so that cycle classes
-and induced maps of cubical maps come out as concrete integer matrices.
+come out as concrete integer vectors.  Maps between trace-space models
+are valued in ``values``, which pushes cycles through chain matrices and
+classifies them here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCubical
-from .pathspace import CubicalMap, PathComplex
+from .pathspace import PathComplex
 
 Matrix = list  # list of row lists of ints
 
@@ -330,8 +332,11 @@ class GroupHom:
             cols_out.append(sol[:m])
         rows = [[cols_out[j][i] for j in range(n)] for i in range(m)]
         inv = GroupHom.make(self.tgt, self.src, rows)
-        assert inv.compose(self) == GroupHom.identity(self.src)
-        assert self.compose(inv) == GroupHom.identity(self.tgt)
+        if (
+            inv.compose(self) != GroupHom.identity(self.src)
+            or self.compose(inv) != GroupHom.identity(self.tgt)
+        ):
+            raise ValueError("computed inverse does not invert")
         return inv
 
 
@@ -466,15 +471,8 @@ class HomologyBasis:
         return out
 
 
-def _hom_cache(p: PathComplex) -> dict:
-    cache = p.__dict__.get("_hom_cache")
-    if cache is None:
-        cache = p.__dict__["_hom_cache"] = {}
-    return cache
-
-
 def homology_basis(p: PathComplex, k: int) -> HomologyBasis:
-    cache = _hom_cache(p)
+    cache = p.homology_cache
     if k not in cache:
         cx = cache.get("chain")
         if cx is None:
@@ -549,60 +547,3 @@ class FinSetMap:
     @staticmethod
     def identity(n: int) -> "FinSetMap":
         return FinSetMap(n, n, tuple(range(n)))
-
-
-def induced_pi0(f: CubicalMap) -> FinSetMap:
-    """Component map of a cubical map."""
-    src_part = pi0(f.src)
-    tgt_part = pi0(f.tgt)
-    images = [None] * src_part.n_classes
-    for i, cls in enumerate(src_part.classes):
-        img = tgt_part.classes[f.maps[0][i]]
-        if images[cls] is None:
-            images[cls] = img
-        elif images[cls] != img:
-            raise NotCubical("map does not descend to components")
-    return FinSetMap(src_part.n_classes, tgt_part.n_classes, tuple(images))
-
-
-def chain_map_matrices(f: CubicalMap) -> list[Matrix]:
-    """Per-degree 0/1 matrices of the chain map; commutation is checked."""
-    mats = []
-    for k in range(len(f.src.cubes)):
-        rows = f.tgt.n_cubes(k)
-        cols = f.src.n_cubes(k)
-        mat = mat_zero(rows, cols)
-        if k <= f.tgt.dimension:
-            for i, j in enumerate(f.maps[k]):
-                mat[j][i] = 1
-        mats.append(mat)
-    _check_chain_map(f.src, f.tgt, mats)
-    return mats
-
-
-def _check_chain_map(src: PathComplex, tgt: PathComplex, mats: list[Matrix]):
-    src_cx = chain_complex(src)
-    tgt_cx = chain_complex(tgt)
-    for k in range(1, len(mats)):
-        left = mat_mul(tgt_cx.boundary(k), mats[k])
-        right = mat_mul(mats[k - 1], src_cx.boundary(k))
-        if left != right:
-            raise NotCubical(f"chain map does not commute with boundaries at {k}")
-
-
-def induced(f: CubicalMap, k) -> GroupHom | FinSetMap:
-    """Induced map on pi0 (k == 'pi0') or on H_k (k an integer)."""
-    if k == "pi0":
-        return induced_pi0(f)
-    mats = chain_map_matrices(f)
-    src_b = homology_basis(f.src, k)
-    tgt_b = homology_basis(f.tgt, k)
-    cols = []
-    for idx in range(src_b.group.n_gens):
-        z = src_b.generator_cycle(idx)
-        img = mat_vec(mats[k], z) if z else [0] * f.tgt.n_cubes(k)
-        cols.append(tgt_b.class_of_cycle(img))
-    rows = [
-        [cols[c][r] for c in range(len(cols))] for r in range(tgt_b.group.n_gens)
-    ]
-    return GroupHom.make(src_b.group, tgt_b.group, rows)

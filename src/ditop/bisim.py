@@ -103,15 +103,6 @@ def check_open(dm: DiagramMap, max_failures: int = 10) -> OpenCheck:
     return OpenCheck(not failures, tuple(failures))
 
 
-def check_open_up_to_homotopy(dm: DiagramMap, max_failures: int = 10) -> OpenCheck:
-    """Openness of an already-valuated diagram map.
-
-    The diagrams carry valued spaces, so this is ``check_open`` with
-    certificates phrased as invariant mismatches.
-    """
-    return check_open(dm, max_failures)
-
-
 # -- bisimulations -------------------------------------------------------------
 
 

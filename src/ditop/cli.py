@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fixtures
 from .algtop import homology, pi0
-from .bisim import bisimilar, check_open_up_to_homotopy
+from .bisim import bisimilar, check_open
 from .errors import DitopError
 from .gcomplex import (
     GlobularComplex,
@@ -121,7 +121,7 @@ def cmd_trace_space(args) -> int:
 def cmd_natsys(args) -> int:
     x = _load_complex(args.complex)
     val = parse_valuation(args.val)
-    d = natural_system(x, val, args.cap, jobs=args.jobs)
+    d = natural_system(x, val, args.cap)
     header = f"natsys {x.name} valuation {val.label}\n"
     _emit(header + diagram_export(d), args.out)
     return EXIT_OK
@@ -131,8 +131,8 @@ def cmd_bisim(args) -> int:
     a = _load_complex(args.complex_a)
     b = _load_complex(args.complex_b)
     val = parse_valuation(args.val)
-    fa = natural_system(a, val, args.cap, jobs=args.jobs)
-    fb = natural_system(b, val, args.cap, jobs=args.jobs)
+    fa = natural_system(a, val, args.cap)
+    fb = natural_system(b, val, args.cap)
     res = bisimilar(fa, fb)
     _emit(res.report() + "\n", args.out)
     if res.verdict == "yes":
@@ -161,7 +161,7 @@ def cmd_check_open(args) -> int:
             raise DitopError(f"no such map file: {args.cmap}")
         m = parse_cmap(text, a, b)
         dm = crush_induced_map(m, a, b, val, args.cap)
-    chk = check_open_up_to_homotopy(dm)
+    chk = check_open(dm)
     _emit(chk.report() + "\n", args.out)
     return EXIT_OK if chk.ok else EXIT_NEGATIVE
 
@@ -259,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, val_default=None):
-        p.add_argument("--cap", type=int, default=100_000, help="enumeration cap")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
+    def common(p, val_default=None, cap=True):
+        if cap:
+            p.add_argument("--cap", type=int, default=100_000, help="enumeration cap")
         p.add_argument("--out", help="write the report to a file")
         if val_default is not None:
             p.add_argument(
@@ -316,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("naturalize", help="unit-speed form of an execution path")
     p.add_argument("complex")
     p.add_argument("--path", required=True)
-    common(p)
+    common(p, cap=False)
     p.set_defaults(fn=cmd_naturalize)
 
     p = sub.add_parser("renormalize", help="normal form of a clocked word (JSON)")
     p.add_argument("input", help="JSON file or - for stdin")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(fn=cmd_renormalize)
 
     p = sub.add_parser("subdivide", help="edge split or 2-cell chord split")
@@ -329,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge")
     p.add_argument("--cell")
     p.add_argument("--chord", type=int, default=1)
-    common(p)
+    common(p, cap=False)
     p.set_defaults(fn=cmd_subdivide)
 
     p = sub.add_parser("import-pcx", help="precubical set to globular complex")
     p.add_argument("pcx", help="PCX file or - for stdin")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(fn=cmd_import_pcx)
 
     return ap

@@ -87,6 +87,8 @@ class GlobularComplex:
         self.cells2: dict[str, Cell2] = {c.name: c for c in cells2}
         self.cells_hi: dict[str, CellHi] = {c.name: c for c in cells_hi}
         self._state_set = frozenset(self.states)
+        # route complexes by (alpha, beta, cap); valid since cells never change
+        self.route_cache: dict = {}
 
     # -- cell bookkeeping -------------------------------------------------
 

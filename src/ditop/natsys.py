@@ -25,7 +25,6 @@ discrete one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,6 +33,7 @@ from .gcomplex import CellularMap, GlobularComplex, is_chain, require_loop_free
 from .pathspace import (
     DEFAULT_CAP,
     DirectedPathPL,
+    SpaceMap,
     TraceSpaceValue,
     check_path,
     discrete_trace,
@@ -44,13 +44,11 @@ from .pathspace import (
     trace_space,
 )
 from .values import (
-    SpaceMap,
     Valuation,
     Value,
     ValueMap,
     space_map_by_words,
     space_map_collapse,
-    space_map_from_cubical,
     space_map_point_to,
     space_map_same_base,
 )
@@ -78,9 +76,6 @@ class TraceCategoryD:
                 f"chains {first} and {second} do not share an endpoint cell"
             )
         return first + second[1:]
-
-    def morphisms_between(self, c: str, d: str) -> list[Chain]:
-        return [t for t in self.chains if t[0] == c and t[-1] == d]
 
 
 def trace_category(x: GlobularComplex, cap=DEFAULT_CAP) -> TraceCategoryD:
@@ -252,11 +247,10 @@ class DiagramMap:
 
 
 class _SystemBuilder:
-    def __init__(self, x: GlobularComplex, valuation: Valuation, cap: int, jobs: int):
+    def __init__(self, x: GlobularComplex, valuation: Valuation, cap: int):
         self.x = x
         self.valuation = valuation
         self.cap = cap
-        self.jobs = max(1, jobs)
         self.tc = trace_category(x, cap)
         self.index = factorization_category(self.tc)
         self._space_by_pair: dict[tuple[str, str], TraceSpaceValue] = {}
@@ -289,15 +283,13 @@ class _SystemBuilder:
                 empty_idx = tgt.base.index[()][1]
                 return space_map_point_to(src, tgt, empty_idx)
             side = "left" if left else "right"
-            cubical = extend_map(src.base, side, rep_path(x, anchor), self.cap)
-            if cubical.tgt is not tgt.base:
+            sm = extend_map(src, side, rep_path(x, anchor), self.cap)
+            if sm.tgt != tgt:
                 raise NotFunctorial("extension lands in an unexpected complex")
-            return space_map_from_cubical(src, tgt, cubical)
+            return sm
         # the anchor is a vertex, the new cell has positive dimension
-        if left:
-            assert new != t[-1], "extension would close a cycle"
-        else:
-            assert new != t[0], "extension would close a cycle"
+        if new == (t[-1] if left else t[0]):
+            raise NotFunctorial("extension would close a cycle")
         if len(t) == 1:
             empty_idx = tgt.base.index[()][1]
             return space_map_point_to(src, tgt, empty_idx)
@@ -309,14 +301,6 @@ class _SystemBuilder:
 
     def build(self, label: str) -> Diagram:
         objects = self.index.objects
-        if self.jobs > 1:
-            pairs = sorted({(t[0], t[-1]) for t in objects})
-            with ThreadPoolExecutor(self.jobs) as pool:
-                for pair, space in zip(
-                    pairs,
-                    pool.map(lambda p: trace_space(self.x, p[0], p[1], self.cap), pairs),
-                ):
-                    self._space_by_pair[pair] = space
         spaces = {t: self.space(t) for t in objects}
         values = {t: self.valuation.value(spaces[t]) for t in objects}
         gen_maps: dict[tuple[Chain, Chain], ValueMap] = {}
@@ -347,11 +331,10 @@ def natural_system(
     x: GlobularComplex,
     valuation: Valuation,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
     label: Optional[str] = None,
 ) -> Diagram:
     """The discrete natural system of x under the given valuation."""
-    builder = _SystemBuilder(x, valuation, cap, jobs)
+    builder = _SystemBuilder(x, valuation, cap)
     return builder.build(label or f"NTd({x.name})")
 
 

@@ -6,7 +6,9 @@ k 2-cell letters (every 2-cell letter contributes an independent square
 coordinate), and the two faces of a letter replace it by the lower or
 upper boundary route.  ``trace_space`` packages the reduction of a
 cell-to-cell trace space to such a vertex-to-vertex path complex, with an
-extra isolated point for the self-trace of a single cell.
+extra isolated point for the self-trace of a single cell.  ``SpaceMap`` is
+the one description of maps between these models; ``extend_map`` builds
+the map that glues an edge-path onto every route.
 
 Directed paths themselves are pairs (cell word, PL clock); the module
 computes their unique discrete trace with breakpoints and the unit-speed
@@ -65,6 +67,8 @@ class PathComplex:
             for i, w in enumerate(level)
         }
         self._faces: list[Optional[tuple]] = [None] * (dim + 1)
+        # chain complex under "chain", homology bases under their degree
+        self.homology_cache: dict = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -175,14 +179,11 @@ def path_complex(
     _prepare(x)
     require_state(x, alpha)
     require_state(x, beta)
-    cache = getattr(x, "_path_complex_cache", None)
-    if cache is None:
-        cache = x.__dict__["_path_complex_cache"] = {}
     key = (alpha, beta, cap)
-    if key not in cache:
+    if key not in x.route_cache:
         words = _route_words(x, alpha, beta, cap, with_cells=True)
-        cache[key] = PathComplex(x, alpha, beta, words)
-    return cache[key]
+        x.route_cache[key] = PathComplex(x, alpha, beta, words)
+    return x.route_cache[key]
 
 
 # -- trace-space models -------------------------------------------------------
@@ -255,76 +256,88 @@ def trace_space(x: GlobularComplex, c: str, d: str, cap=DEFAULT_CAP) -> TraceSpa
     )
 
 
-class CubicalMap:
-    """A degree-preserving map of path complexes, word by word."""
+@dataclass(frozen=True)
+class SpaceMap:
+    """Element map between two trace-space models, cube by cube.
 
-    def __init__(self, src: PathComplex, tgt: PathComplex, word_fn):
-        self.src = src
-        self.tgt = tgt
-        maps = []
-        for k, level in enumerate(src.cubes):
-            level_map = []
-            for w in level:
-                image = word_fn(w)
-                if image not in tgt.index:
-                    raise NotCubical(f"image word {image} missing from target")
-                kk, idx = tgt.index[image]
-                if kk != k:
-                    raise NotCubical(f"image of a {k}-cube has degree {kk}")
-                level_map.append(idx)
-            maps.append(tuple(level_map))
-        self.maps: tuple[tuple[int, ...], ...] = tuple(maps)
-        self._check_faces()
+    ``vertex_images[i]`` is the degree-0 element index hit by base vertex
+    i; ``cube_images[k-1][i]`` is the target k-cube hit by source k-cube
+    i, or None when the image degenerates; ``extra_image`` locates the
+    image of the source's extra point.  Degree-0 elements are indexed
+    base vertices first, extra point last.
+    """
 
-    def _check_faces(self):
-        for k in range(1, self.src.dimension + 1):
-            if k > self.tgt.dimension and self.src.n_cubes(k):
+    src: TraceSpaceValue
+    tgt: TraceSpaceValue
+    vertex_images: tuple[int, ...]
+    cube_images: tuple[tuple[Optional[int], ...], ...]
+    extra_image: Optional[int]
+
+    def check_faces(self):
+        """Raise NotCubical unless the cube images commute with all faces.
+
+        Only for maps without degenerate cubes.
+        """
+        src, tgt = self.src.base, self.tgt.base
+        levels = (self.vertex_images,) + self.cube_images
+        for k in range(1, src.dimension + 1):
+            if k > tgt.dimension and src.n_cubes(k):
                 raise NotCubical("target has no cubes at this degree")
-            sfaces = self.src.faces(k)
-            tfaces = self.tgt.faces(k) if k <= self.tgt.dimension else ()
-            for i, fi in enumerate(sfaces):
-                ti = self.maps[k][i]
-                for j in range(k):
-                    want = (
-                        self.maps[k - 1][fi[j][0]],
-                        self.maps[k - 1][fi[j][1]],
+            tfaces = tgt.faces(k) if k <= tgt.dimension else ()
+            for i, row in enumerate(src.faces(k)):
+                want = tuple((levels[k - 1][i0], levels[k - 1][i1]) for i0, i1 in row)
+                if tfaces[levels[k][i]] != want:
+                    raise NotCubical(
+                        f"face maps do not commute at degree {k}, cube {i}"
                     )
-                    if tfaces[ti][j] != want:
-                        raise NotCubical(
-                            f"face maps do not commute at degree {k}, cube {i}"
-                        )
 
-    def apply(self, k: int, i: int) -> int:
-        return self.maps[k][i]
 
-    @staticmethod
-    def identity(p: PathComplex) -> "CubicalMap":
-        return CubicalMap(p, p, lambda w: w)
+def _word_map(src: TraceSpaceValue, tgt: TraceSpaceValue, word_fn) -> SpaceMap:
+    """The map sending every route word to a target word of equal degree."""
+    levels = []
+    for k, level in enumerate(src.base.cubes):
+        images = []
+        for w in level:
+            image = word_fn(w)
+            if image not in tgt.base.index:
+                raise NotCubical(f"image word {image} missing from target")
+            kk, idx = tgt.base.index[image]
+            if kk != k:
+                raise NotCubical(f"image of a {k}-cube has degree {kk}")
+            images.append(idx)
+        levels.append(tuple(images))
+    sm = SpaceMap(src, tgt, levels[0], tuple(levels[1:]), None)
+    sm.check_faces()
+    return sm
 
 
 def extend_map(
-    p: PathComplex, side: str, path: tuple[str, ...], cap=DEFAULT_CAP
-) -> CubicalMap:
+    v: TraceSpaceValue, side: str, path: tuple[str, ...], cap=DEFAULT_CAP
+) -> SpaceMap:
     """The map of route complexes that glues an edge-path on one side.
 
     ``side`` is "left" (new routes are path then w, so the path must end
-    at p.alpha) or "right" (w then path, starting at p.beta).
+    at the base's alpha) or "right" (w then path, starting at its beta).
     """
+    p = v.base
     x = p.complex
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if path:
-        start, end = x.path_endpoints(tuple(path))
-        if side == "left" and end != p.alpha:
+    if v.extra_point:
+        raise ValueError("source extra point needs an explicit image")
+    path = tuple(path)
+    if not path:
+        return _word_map(v, v, lambda w: w)
+    start, end = x.path_endpoints(path)
+    if side == "left":
+        if end != p.alpha:
             raise EndpointMismatch(f"path ends at {end}, complex starts at {p.alpha}")
-        if side == "right" and start != p.beta:
-            raise EndpointMismatch(f"path starts at {start}, complex ends at {p.beta}")
-        if side == "left":
-            target = path_complex(x, start, p.beta, cap)
-            return CubicalMap(p, target, lambda w: tuple(path) + w)
-        target = path_complex(x, p.alpha, end, cap)
-        return CubicalMap(p, target, lambda w: w + tuple(path))
-    return CubicalMap.identity(p)
+        target = path_complex(x, start, p.beta, cap)
+        return _word_map(v, TraceSpaceValue(target, False), lambda w: path + w)
+    if start != p.beta:
+        raise EndpointMismatch(f"path starts at {start}, complex ends at {p.beta}")
+    target = path_complex(x, p.alpha, end, cap)
+    return _word_map(v, TraceSpaceValue(target, False), lambda w: w + path)
 
 
 def rep_path(x: GlobularComplex, cell: str) -> tuple[str, ...]:
@@ -532,7 +545,3 @@ def format_path_spec(gamma: DirectedPathPL) -> str:
         for t, v in gamma.clock.breakpoints
     )
     return f"path : {letters} clock: {clock}"
-
-
-def word_only(gamma: DirectedPathPL) -> tuple[str, ...]:
-    return tuple(name for name, _ in gamma.word)

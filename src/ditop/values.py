@@ -3,10 +3,12 @@
 A valuation replaces a trace-space model by a decidable stand-in for its
 homotopy type: the finite set of path components (``pi0``), or that set
 together with integer homology up to a chosen degree (``hom:k``).
-``SpaceMap`` is the common description of the maps between models that
-the natural-system layer produces: a total map on degree-0 elements
-(vertices plus the optional extra point) and, per higher cube, either a
-target cube of the same degree or a degenerate collapse.
+``Valuation.map`` is the one induced-map pipeline: it values a
+``SpaceMap`` (see ``pathspace``) as a component map plus, per degree, the
+homology map read off its chain matrices.  The ``space_map_*`` builders
+make the maps the natural-system layer needs beyond ``extend_map``:
+identities between wrappers, point inclusions, collapses and word
+rewrites whose cubes may degenerate.
 
 Degree-0 elements of a model are indexed base vertices first, extra
 point last; components inherit that order.
@@ -15,7 +17,6 @@ point last; components inherit that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algtop import (
     FgAbGroup,
@@ -28,55 +29,12 @@ from .algtop import (
     pi0,
 )
 from .errors import CapExceeded, NotFunctorial
-from .pathspace import CubicalMap, TraceSpaceValue
+from .pathspace import SpaceMap, TraceSpaceValue
 
 CANDIDATE_CAP = 2048
 
 
 # -- maps of trace-space models -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpaceMap:
-    """Element map between two models, cube by cube.
-
-    ``vertex_images[i]`` is the degree-0 element index hit by base vertex
-    i; ``cube_images[k-1][i]`` is the target k-cube hit by source k-cube
-    i, or None when the image degenerates; ``extra_image`` locates the
-    image of the source's extra point.
-    """
-
-    src: TraceSpaceValue
-    tgt: TraceSpaceValue
-    vertex_images: tuple[int, ...]
-    cube_images: tuple[tuple[Optional[int], ...], ...]
-    extra_image: Optional[int]
-
-    def n_tgt_points(self) -> int:
-        return self.tgt.n_points()
-
-
-def identity_space_map(v: TraceSpaceValue) -> SpaceMap:
-    nv = len(v.base.vertices)
-    return SpaceMap(
-        v,
-        v,
-        tuple(range(nv)),
-        tuple(tuple(range(v.base.n_cubes(k))) for k in range(1, v.base.dimension + 1)),
-        nv if v.extra_point else None,
-    )
-
-
-def space_map_from_cubical(
-    src: TraceSpaceValue, tgt: TraceSpaceValue, f: CubicalMap
-) -> SpaceMap:
-    if f.src is not src.base or f.tgt is not tgt.base:
-        raise ValueError("cubical map does not connect the given models")
-    if src.extra_point:
-        raise ValueError("source extra point needs an explicit image")
-    return SpaceMap(
-        src, tgt, tuple(f.maps[0]), tuple(f.maps[1:]), None
-    )
 
 
 def space_map_same_base(src: TraceSpaceValue, tgt: TraceSpaceValue) -> SpaceMap:
@@ -169,33 +127,6 @@ def space_map_by_words(
             raise NotFunctorial(f"extra image {extra_word} is not a target vertex")
         extra_image = tgt_index[extra_word][1]
     return SpaceMap(src, tgt, tuple(vertex_images), tuple(cube_images), extra_image)
-
-
-def compose_space_maps(second: SpaceMap, first: SpaceMap) -> SpaceMap:
-    if first.tgt is not second.src:
-        raise ValueError("space maps not composable")
-    nv_mid = len(second.src.base.vertices)
-
-    def elem(i):
-        return second.vertex_images[i] if i < nv_mid else second.extra_image
-
-    vertex_images = tuple(elem(i) for i in first.vertex_images)
-    cube_images = []
-    for k in range(1, first.src.base.dimension + 1):
-        level = []
-        firsts = first.cube_images[k - 1] if k - 1 < len(first.cube_images) else ()
-        seconds = (
-            second.cube_images[k - 1] if k - 1 < len(second.cube_images) else ()
-        )
-        for i in firsts:
-            level.append(None if i is None else (seconds[i] if seconds else None))
-        cube_images.append(tuple(level))
-    extra_image = None
-    if first.src.extra_point:
-        extra_image = elem(first.extra_image)
-    return SpaceMap(
-        first.src, second.tgt, vertex_images, tuple(cube_images), extra_image
-    )
 
 
 # -- valued spaces ---------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Seeded random generators for exact PL data used across the test suite."""
+"""Seeded random generators for exact PL data, and small builders, used
+across the test suite."""
 
 from fractions import Fraction
 import random
 
+from ditop.pathspace import TraceSpaceValue, path_complex
 from ditop.reparam import MoorePathPL, PLMap
 
 
@@ -105,3 +107,8 @@ def random_directed_path(rng, x, surjective=None):
     else:
         clock = rand_monotone(rng, 1, n, n_pts=4, surjective=False)
     return DirectedPathPL(tuple(word), clock)
+
+
+def routes(x, alpha, beta):
+    """The route complex alpha -> beta as a trace-space model."""
+    return TraceSpaceValue(path_complex(x, alpha, beta), extra_point=False)

@@ -11,7 +11,6 @@ from ditop.algtop import (
     chain_complex,
     homology,
     homology_basis,
-    induced,
     mat_identity,
     mat_mul,
     pi0,
@@ -20,6 +19,11 @@ from ditop.algtop import (
 )
 from ditop.gcomplex import subdivide_2cell, subdivide_edge
 from ditop.pathspace import extend_map, path_complex, rep_path
+from ditop.values import Valuation
+from helpers import routes
+
+PI0 = Valuation("pi0")
+HOM1 = Valuation("hom", 1)
 
 
 def det(m):
@@ -182,39 +186,50 @@ class TestPi0:
         assert pi0(p).n_classes == 0
 
 
-class TestInduced:
-    def test_identity(self):
-        from ditop.pathspace import CubicalMap
+def glued(val, v, *steps):
+    """The value map of extending v step by step, composed."""
+    out = None
+    for side, path in steps:
+        sm = extend_map(v, side, path)
+        m = val.map(sm)
+        out = m if out is None else m.compose(out)
+        v = sm.tgt
+    return out
 
-        p = path_complex(fixtures.load("FIX-TWOCELLS"), "x0", "x2")
-        ident = CubicalMap.identity(p)
-        assert induced(ident, "pi0") == FinSetMap.identity(1)
-        assert induced(ident, 1) == GroupHom.identity(homology(p, 1))
+
+class TestInduced:
+    """Valuation.map on the space maps that extend_map builds."""
+
+    def test_identity(self):
+        v = routes(fixtures.load("FIX-TWOCELLS"), "x0", "x2")
+        m = HOM1.map(extend_map(v, "left", ()))
+        assert m.comp == FinSetMap.identity(1)
+        assert m.homs == (GroupHom.identity(homology(v.base, 1)),)
 
     def test_extension_picks_filled_component(self):
         x = fixtures.load("FIX-A")
-        p = path_complex(x, "v0", "v0")
-        m = extend_map(p, "right", rep_path(x, "c2"))
-        comp = induced(m, "pi0")
+        m = extend_map(routes(x, "v0", "v0"), "right", rep_path(x, "c2"))
+        comp = PI0.map(m).comp
         assert comp.images == (0,)  # the component containing d1.d2.d3 and e
 
     def test_left_extension_h0(self):
         x = fixtures.load("FIX-TWOCELLS")
-        p = path_complex(x, "x1", "x2")
-        m = extend_map(p, "left", ("f",))
-        hom = induced(m, 0)
-        assert hom.matrix == ((1,),)
+        m = Valuation("hom", 0).map(extend_map(routes(x, "x1", "x2"), "left", ("f",)))
+        assert m.src.groups == m.tgt.groups == (FgAbGroup(1),)
+        assert m.comp.images == (0,)
 
     def test_functorial_composition(self):
-        x = fixtures.load("FIX-TWOCELLS")
-        p = path_complex(x, "x1", "x2")
-        m1 = extend_map(p, "left", ("f",))
-        m2 = extend_map(m1.tgt, "right", ())
-        from ditop.pathspace import CubicalMap
-
-        comp = CubicalMap(p, m1.tgt, lambda w: ("f",) + w)
-        assert induced(comp, "pi0") == induced(m2, "pi0").compose(induced(m1, "pi0"))
-        assert induced(comp, 0) == induced(m2, 0).compose(induced(m1, 0))
+        # a glued path induces the composite of its pieces, in either order
+        x = fixtures.load("FIX-A")
+        v12 = routes(x, "v1", "v2")
+        v23 = routes(x, "v2", "v3")
+        for val in (PI0, HOM1):
+            assert glued(val, v12, ("left", ("d1",)), ("right", ("d3",))) == glued(
+                val, v12, ("right", ("d3",)), ("left", ("d1",))
+            )
+            assert glued(val, v23, ("left", ("d1", "d2"))) == glued(
+                val, v23, ("left", ("d2",)), ("left", ("d1",))
+            )
 
     def test_rep_choice_invariance(self):
         # extending by the lower or the upper route of any 2-cell induces
@@ -222,20 +237,14 @@ class TestInduced:
         for name in fixtures.GALLERY:
             x = fixtures.load(name)
             for cname, cell in x.cells2.items():
-                src = x.src(cname)
-                tgt = x.tgt(cname)
                 for beta in x.states:
-                    try:
-                        p = path_complex(x, tgt, beta)
-                    except Exception:
+                    v = routes(x, x.tgt(cname), beta)
+                    if not v.base.vertices:
                         continue
-                    if not p.vertices:
-                        continue
-                    lo = extend_map(p, "left", cell.lower)
-                    up = extend_map(p, "left", cell.upper)
-                    assert induced(lo, "pi0") == induced(up, "pi0")
-                    for k in (0, 1):
-                        assert induced(lo, k) == induced(up, k)
+                    lo = extend_map(v, "left", cell.lower)
+                    up = extend_map(v, "left", cell.upper)
+                    for val in (PI0, HOM1):
+                        assert val.map(lo) == val.map(up)
 
 
 class TestSubdivisionInvariance:

@@ -9,7 +9,6 @@ from ditop.bisim import (
     Bisimulation,
     bisimilar,
     check_open,
-    check_open_up_to_homotopy,
     span_to_bisimulation,
     verify_bisimulation,
 )
@@ -49,7 +48,7 @@ class TestCheckOpen:
     def test_crush_not_open_witness_first(self):
         a, b = fixtures.load("FIX-A"), fixtures.load("FIX-B")
         dm = crush_induced_map(fixtures.crush_a_to_b(), a, b, PI0)
-        chk = check_open_up_to_homotopy(dm)
+        chk = check_open(dm)
         assert not chk.ok
         first = chk.failures[0]
         assert first.kind == "component-not-iso"

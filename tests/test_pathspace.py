@@ -1,6 +1,7 @@
 """Route complexes, trace-space models, discrete traces, naturalization."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ditop import fixtures
 from ditop.errors import (
     EndpointMismatch,
     NoTrace,
+    NotCubical,
     NotExecutionPath,
     NotLoopFree,
     UnknownState,
@@ -30,7 +32,7 @@ from ditop.pathspace import (
 )
 from ditop.reparam import PLMap, is_regular, MoorePathPL
 
-from helpers import rand_monotone
+from helpers import rand_monotone, routes
 
 F = Fraction
 
@@ -155,31 +157,51 @@ class TestTraceSpace:
 class TestExtendMap:
     def test_left_extension_injective(self):
         x = fixtures.load("FIX-TWOCELLS")
-        p = path_complex(x, "x1", "x2")
-        m = extend_map(p, "left", ("f",))
-        assert m.tgt.alpha == "x0"
-        imgs = {p.cubes[0][i]: m.tgt.cubes[0][m.maps[0][i]] for i in range(2)}
+        v = routes(x, "x1", "x2")
+        m = extend_map(v, "left", ("f",))
+        assert m.tgt.base.alpha == "x0"
+        imgs = {
+            v.base.cubes[0][i]: m.tgt.base.cubes[0][m.vertex_images[i]]
+            for i in range(2)
+        }
         assert imgs == {("h",): ("f", "h"), ("k",): ("f", "k")}
 
     def test_empty_path_identity(self):
-        p = path_complex(fixtures.load("FIX-B"), "v0", "v3")
-        m = extend_map(p, "left", ())
+        v = routes(fixtures.load("FIX-B"), "v0", "v3")
+        m = extend_map(v, "left", ())
         assert m.src is m.tgt
-        assert all(
-            m.maps[k][i] == i for k in range(len(p.cubes)) for i in range(len(p.cubes[k]))
+        assert m.vertex_images == tuple(range(len(v.base.vertices)))
+        assert m.cube_images == tuple(
+            tuple(range(len(level))) for level in v.base.cubes[1:]
         )
+        assert m.extra_image is None
 
     def test_rep_path_lands_in_filled_component(self):
         x = fixtures.load("FIX-A")
-        p = path_complex(x, "v0", "v0")
-        m = extend_map(p, "right", rep_path(x, "c2"))
-        image_word = m.tgt.cubes[0][m.maps[0][0]]
+        m = extend_map(routes(x, "v0", "v0"), "right", rep_path(x, "c2"))
+        image_word = m.tgt.base.cubes[0][m.vertex_images[0]]
         assert image_word == ("d1", "d2", "d3")
 
     def test_endpoint_mismatch(self):
-        p = path_complex(fixtures.load("FIX-B"), "v1", "v2")
+        v = routes(fixtures.load("FIX-B"), "v1", "v2")
         with pytest.raises(EndpointMismatch):
-            extend_map(p, "left", ("d3",))
+            extend_map(v, "left", ("d3",))
+
+    def test_swapped_cube_images_fail_face_check(self):
+        x = fixtures.load("FIX-TWOCELLS")
+        m = extend_map(routes(x, "x0", "x2"), "left", ())
+        faces = m.src.base.faces(1)
+        i, j = next(
+            (i, j)
+            for i in range(len(faces))
+            for j in range(i)
+            if faces[i] != faces[j]
+        )
+        level = list(m.cube_images[0])
+        level[i], level[j] = level[j], level[i]
+        swapped = replace(m, cube_images=(tuple(level),) + m.cube_images[1:])
+        with pytest.raises(NotCubical, match="face maps do not commute"):
+            swapped.check_faces()
 
 
 def two_squares():
