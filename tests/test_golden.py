@@ -1,8 +1,9 @@
 """Byte-identical reports: sha256 digests of CLI stdout and exit code.
 
 The digests pin the natural-system exports, the openness reports and the
-bisimulation reports of the bundled gallery, so a refactor of the map or
-valuation layers cannot change a report unnoticed.  A digest covers the
+bisimulation reports (certificates and refutations) of the bundled
+gallery, so a refactor of the map, valuation, index or bisimulation
+layers cannot change a report unnoticed.  A digest covers the
 exit code, a newline and the whole stdout.
 """
 
@@ -49,6 +50,11 @@ GOLDEN = {
     "check-open crush.cmap FIX-A FIX-B --val hom:1": "c24ff95b30049128ce38a714ddf52d780f76d0ed0919d7d9c59399c9cb9f7df1",
     "bisim FIX-A FIX-B": "efbddffb908fe5ea09480c670f7659577a6b1d7283f70f275ddfcd344b54f0bb",
     "bisim FIX-EDGE FIX-EDGE-split": "80a6e601df334bc5880c7a1599a4d9906a4897575dea40a79fee72e139222844",
+    # refutations: their 50 "drop" lines follow the fixpoint's deletion order
+    "bisim FIX-HOLLOW FIX-SQUARE": "14ded048acd57431b74d4095a5246baa75fcf4c432b4814862b2f792d4c3f678",
+    "bisim FIX-HOLLOW FIX-SQUARE --val hom:1": "14ded048acd57431b74d4095a5246baa75fcf4c432b4814862b2f792d4c3f678",
+    "bisim FIX-A FIX-TWOCELLS": "01b3abc6539ee1f32e3bc2077d1f668aef4bf2c32bddc532d4478c6b89323d95",
+    "bisim FIX-TWOCELLS FIX-A --val hom:1": "be9bfaffe25f0954a83b950a64db5ea1a5e72d776629de04b2c87a6919246b93",
 }
 
 
