@@ -132,7 +132,10 @@ def _square_commutes(f_map, g_map, eta, eta2, src_empty, tgt_simple) -> bool:
 def verify_bisimulation(r, f: Diagram, g: Diagram):
     """Exhaustive check of the coverage and square-completion clauses.
 
-    Returns (True, None) or (False, description of the first violation).
+    Every morphism i -> i2 (j -> j2) is checked, not only generators; the
+    answering triples are looked up by object pair among the targets of
+    the other side.  Returns (True, None) or (False, description of the
+    first violation).
     """
     triples = tuple(r.triples) if isinstance(r, Bisimulation) else tuple(r)
     covered_i = {i for i, _, _ in triples}
@@ -143,41 +146,38 @@ def verify_bisimulation(r, f: Diagram, g: Diagram):
     for j in g.index.objects:
         if j not in covered_j:
             return False, f"clause 1: object {_fmt(j)} of the right diagram uncovered"
-    by_i: dict = {}
-    by_j: dict = {}
-    for t in triples:
-        by_i.setdefault(t[0], []).append(t)
-        by_j.setdefault(t[2], []).append(t)
+    by_pair: dict = {}
+    for i, eta, j in triples:
+        by_pair.setdefault((i, j), []).append(eta)
     empty_f = {i: f.value(i).components == 0 for i in f.index.objects}
     simple_g = {j: _is_simple(g.value(j)) for j in g.index.objects}
+
+    def completes(i, eta, j, i2, j2) -> bool:
+        for eta2 in by_pair.get((i2, j2), ()):
+            if _square_commutes(
+                f.map(i, i2), g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
+            ):
+                return True
+        return False
+
     for i, eta, j in triples:
-        for i2 in f.index.targets_from(i):
-            ok = False
-            for (ii, eta2, j2) in by_i.get(i2, ()):
-                if not g.index.hom(j, j2):
-                    continue
-                if _square_commutes(
-                    f.map(i, i2), g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
-                ):
-                    ok = True
+        i_targets = f.index.targets_from(i)
+        j_targets = g.index.targets_from(j)
+        for i2 in i_targets:
+            for j2 in j_targets:
+                if completes(i, eta, j, i2, j2):
                     break
-            if not ok:
+            else:
                 return (
                     False,
                     f"clause 2 (forth): {_fmt(i)} ~ {_fmt(j)} stuck along "
                     f"{_fmt(i)} -> {_fmt(i2)}",
                 )
-        for j2 in g.index.targets_from(j):
-            ok = False
-            for (i2, eta2, jj) in by_j.get(j2, ()):
-                if not f.index.hom(i, i2):
-                    continue
-                if _square_commutes(
-                    f.map(i, i2), g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
-                ):
-                    ok = True
+        for j2 in j_targets:
+            for i2 in i_targets:
+                if completes(i, eta, j, i2, j2):
                     break
-            if not ok:
+            else:
                 return (
                     False,
                     f"clause 2 (back): {_fmt(i)} ~ {_fmt(j)} stuck along "
@@ -206,48 +206,45 @@ def bisimilar(f: Diagram, g: Diagram, max_trace: int = 50) -> BisimResult:
 
     Seeds every iso candidate between every object pair, then deletes
     triples whose forth or back condition fails along some one-step
-    extension until stable.  Square conditions for composite extensions
-    follow by pasting, so generators suffice; the returned relation is
-    re-verified against all morphisms.
+    extension until stable.  The triples of one object pair sit in a
+    contiguous range, so a condition looks up only the pairs (i2, j2)
+    it can use.  Square conditions for composite extensions follow by
+    pasting, so generators suffice; the returned relation is re-verified
+    against all morphisms.
     """
     exact = True
     triples: list[tuple] = []
-    pair_candidates: dict = {}
+    by_pair: dict = {}
     for i in f.index.objects:
         for j in g.index.objects:
             cands, complete = iso_candidates(f.value(i), g.value(j))
             exact = exact and complete
             if cands:
-                pair_candidates[(i, j)] = cands
+                by_pair[(i, j)] = range(len(triples), len(triples) + len(cands))
                 triples.extend((i, eta, j) for eta in cands)
     empty_f = {i: f.value(i).components == 0 for i in f.index.objects}
     simple_g = {j: _is_simple(g.value(j)) for j in g.index.objects}
+    f_targets = {i: f.index.targets_from(i) for i in f.index.objects}
+    g_targets = {j: g.index.targets_from(j) for j in g.index.objects}
     alive = set(range(len(triples)))
-    by_i: dict = {}
-    for idx, (i, _, j) in enumerate(triples):
-        by_i.setdefault(i, []).append(idx)
-    by_j: dict = {}
-    for idx, (i, _, j) in enumerate(triples):
-        by_j.setdefault(j, []).append(idx)
     trace: list[str] = []
+
+    def completes(i, eta, j, i2, j2) -> bool:
+        for idx2 in by_pair.get((i2, j2), ()):
+            eta2 = triples[idx2][1]
+            if idx2 in alive and _square_commutes(
+                f.map(i, i2), g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
+            ):
+                return True
+        return False
 
     def forth_ok(idx) -> bool:
         i, eta, j = triples[idx]
         for i2 in f.index.gens_from(i):
-            f_map = f.map(i, i2)
-            found = False
-            for idx2 in by_i.get(i2, ()):
-                if idx2 not in alive:
-                    continue
-                _, eta2, j2 = triples[idx2]
-                if not g.index.hom(j, j2):
-                    continue
-                if _square_commutes(
-                    f_map, g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
-                ):
-                    found = True
+            for j2 in g_targets[j]:
+                if completes(i, eta, j, i2, j2):
                     break
-            if not found:
+            else:
                 if len(trace) < max_trace:
                     trace.append(
                         f"drop {_fmt(i)} ~ {_fmt(j)}: forth fails along "
@@ -259,20 +256,10 @@ def bisimilar(f: Diagram, g: Diagram, max_trace: int = 50) -> BisimResult:
     def back_ok(idx) -> bool:
         i, eta, j = triples[idx]
         for j2 in g.index.gens_from(j):
-            g_map = g.map(j, j2)
-            found = False
-            for idx2 in by_j.get(j2, ()):
-                if idx2 not in alive:
-                    continue
-                i2, eta2, _ = triples[idx2]
-                if not f.index.hom(i, i2):
-                    continue
-                if _square_commutes(
-                    f.map(i, i2), g_map, eta, eta2, empty_f[i], simple_g[j2]
-                ):
-                    found = True
+            for i2 in f_targets[i]:
+                if completes(i, eta, j, i2, j2):
                     break
-            if not found:
+            else:
                 if len(trace) < max_trace:
                     trace.append(
                         f"drop {_fmt(i)} ~ {_fmt(j)}: back fails along "

@@ -67,7 +67,8 @@ class PathComplex:
             for i, w in enumerate(level)
         }
         self._faces: list[Optional[tuple]] = [None] * (dim + 1)
-        # chain complex under "chain", homology bases under their degree
+        # chain complex under "chain", components under "pi0", homology
+        # bases under their degree
         self.homology_cache: dict = {}
 
     # -- structure ---------------------------------------------------------
@@ -175,12 +176,12 @@ def enumerate_vertex_paths(x: GlobularComplex, alpha: str, beta: str, cap=DEFAUL
 def path_complex(
     x: GlobularComplex, alpha: str, beta: str, cap=DEFAULT_CAP
 ) -> PathComplex:
-    """The full route complex between two states."""
-    _prepare(x)
-    require_state(x, alpha)
-    require_state(x, beta)
+    """The full route complex between two states, validated and cached."""
     key = (alpha, beta, cap)
     if key not in x.route_cache:
+        _prepare(x)
+        require_state(x, alpha)
+        require_state(x, beta)
         words = _route_words(x, alpha, beta, cap, with_cells=True)
         x.route_cache[key] = PathComplex(x, alpha, beta, words)
     return x.route_cache[key]

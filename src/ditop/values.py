@@ -215,7 +215,10 @@ class Valuation:
 
     def components_of(self, v: TraceSpaceValue) -> tuple[tuple[int, ...], int]:
         """Component index per degree-0 element, and the component count."""
-        part = pi0(v.base)
+        cache = v.base.homology_cache
+        if "pi0" not in cache:
+            cache["pi0"] = pi0(v.base)
+        part = cache["pi0"]
         classes = list(part.classes)
         n = part.n_classes
         if v.extra_point:

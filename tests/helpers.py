@@ -112,3 +112,74 @@ def random_directed_path(rng, x, surjective=None):
 def routes(x, alpha, beta):
     """The route complex alpha -> beta as a trace-space model."""
     return TraceSpaceValue(path_complex(x, alpha, beta), extra_point=False)
+
+
+# -- oracles for the indexed factorization poset and verifier ------------------
+
+
+def is_subchain(a, b):
+    """a occurs in b as a contiguous block: the old hom-set scan."""
+    if len(a) > len(b) or a[0] not in b:
+        return False
+    at = b.index(a[0])
+    return b[at : at + len(a)] == a
+
+
+def scan_targets(index, a):
+    """Targets of a by testing every object of the poset, in object order."""
+    return tuple(b for b in index.objects if is_subchain(a, b))
+
+
+def verify_bisimulation_by_scan(r, f, g):
+    """Brute-force oracle for ``bisim.verify_bisimulation``.
+
+    The same clauses in the same order, but every morphism comes from a
+    scan of all objects and every answering triple from a scan of all
+    triples at the far object, tested with ``is_subchain``.  Returns
+    (True, None) or (False, description of the first violation).
+    """
+    from ditop.bisim import _fmt, _is_simple, _square_commutes
+
+    triples = tuple(r.triples) if hasattr(r, "triples") else tuple(r)
+    covered_i = {i for i, _, _ in triples}
+    covered_j = {j for _, _, j in triples}
+    for i in f.index.objects:
+        if i not in covered_i:
+            return False, f"clause 1: object {_fmt(i)} of the left diagram uncovered"
+    for j in g.index.objects:
+        if j not in covered_j:
+            return False, f"clause 1: object {_fmt(j)} of the right diagram uncovered"
+    by_i, by_j = {}, {}
+    for t in triples:
+        by_i.setdefault(t[0], []).append(t)
+        by_j.setdefault(t[2], []).append(t)
+    empty_f = {i: f.value(i).components == 0 for i in f.index.objects}
+    simple_g = {j: _is_simple(g.value(j)) for j in g.index.objects}
+
+    def square(i, eta, j, i2, eta2, j2):
+        return _square_commutes(
+            f.map(i, i2), g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
+        )
+
+    for i, eta, j in triples:
+        for i2 in scan_targets(f.index, i):
+            if not any(
+                is_subchain(j, j2) and square(i, eta, j, i2, eta2, j2)
+                for _, eta2, j2 in by_i.get(i2, ())
+            ):
+                return (
+                    False,
+                    f"clause 2 (forth): {_fmt(i)} ~ {_fmt(j)} stuck along "
+                    f"{_fmt(i)} -> {_fmt(i2)}",
+                )
+        for j2 in scan_targets(g.index, j):
+            if not any(
+                is_subchain(i, i2) and square(i, eta, j, i2, eta2, j2)
+                for i2, eta2, _ in by_j.get(j2, ())
+            ):
+                return (
+                    False,
+                    f"clause 2 (back): {_fmt(i)} ~ {_fmt(j)} stuck along "
+                    f"{_fmt(j)} -> {_fmt(j2)}",
+                )
+    return True, None

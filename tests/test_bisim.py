@@ -21,7 +21,10 @@ from ditop.natsys import (
     natural_system,
     refinement_span,
 )
+from ditop.algtop import FinSetMap
 from ditop.values import Valuation, Value, ValueMap
+
+from helpers import verify_bisimulation_by_scan
 
 PI0 = Valuation("pi0")
 HOM1 = Valuation("hom", 1)
@@ -100,6 +103,66 @@ class TestVerifyBisimulation:
         assert res.verdict == "yes"
         ok, why = verify_bisimulation(res.bisimulation, f, g)
         assert ok, why
+
+
+class TestVerifierNegatives:
+    """Corrupted certificates of bisim FIX-A FIX-B: the indexed verifier
+    and the brute-force scan must both reject them, with one message."""
+
+    @pytest.fixture(scope="class")
+    def certificate(self):
+        f = natural_system(fixtures.load("FIX-A"), PI0)
+        g = natural_system(fixtures.load("FIX-B"), PI0)
+        res = bisimilar(f, g)
+        assert res.verdict == "yes"
+        return f, g, res.bisimulation.triples
+
+    @staticmethod
+    def first_bijection(triples):
+        """Index of the first triple linking values of two or more components."""
+        return next(k for k, t in enumerate(triples) if t[1].comp.src_size >= 2)
+
+    @staticmethod
+    def assert_rejected_both_ways(triples, f, g):
+        """Rejected as given (left f) and converse (left g), by both verifiers."""
+        converse = tuple((j, eta.inverse(), i) for i, eta, j in triples)
+        for rel, left, right in ((triples, f, g), (converse, g, f)):
+            verdict = verify_bisimulation(rel, left, right)
+            assert not verdict[0] and verdict[1].startswith("clause 2")
+            assert verify_bisimulation_by_scan(rel, left, right) == verdict
+
+    def test_certificate_accepted_by_both(self, certificate):
+        f, g, triples = certificate
+        assert verify_bisimulation(triples, f, g) == (True, None)
+        assert verify_bisimulation_by_scan(triples, f, g) == (True, None)
+
+    def test_dropped_triple_rejected(self, certificate):
+        f, g, triples = certificate
+        k = self.first_bijection(triples)
+        self.assert_rejected_both_ways(triples[:k] + triples[k + 1 :], f, g)
+
+    def test_swapped_bijection_rejected(self, certificate):
+        f, g, triples = certificate
+        k = self.first_bijection(triples)
+        i, eta, j = triples[k]
+        images = eta.comp.images
+        swapped = ValueMap(
+            eta.src, eta.tgt, FinSetMap(len(images), len(images), images[::-1])
+        )
+        assert swapped != eta
+        corrupted = triples[:k] + ((i, swapped, j),) + triples[k + 1 :]
+        self.assert_rejected_both_ways(corrupted, f, g)
+
+    def test_nearby_drops_agree_with_scan(self, certificate):
+        f, g, triples = certificate
+        first = self.first_bijection(triples)
+        verdicts = set()
+        for k in range(first, first + 8):
+            corrupted = triples[:k] + triples[k + 1 :]
+            verdict = verify_bisimulation(corrupted, f, g)
+            assert verify_bisimulation_by_scan(corrupted, f, g) == verdict, k
+            verdicts.add(verdict[0])
+        assert verdicts == {True, False}
 
 
 class TestBisimilar:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ditop import fixtures
+from ditop import fixtures, values
 from ditop.errors import NotFunctorial
 from ditop.gcomplex import (
     CellularMap,
@@ -27,6 +27,8 @@ from ditop.natsys import (
 from ditop.pathspace import DirectedPathPL
 from ditop.reparam import PLMap
 from ditop.values import Valuation, ValueMap
+
+from helpers import is_subchain, scan_targets
 
 F = Fraction
 PI0 = Valuation("pi0")
@@ -106,6 +108,39 @@ class TestFactCat:
         assert u == ("v0", "d") and v == ("d", "v1")
 
 
+def with_single_step_splits(name):
+    """A gallery fixture and each of its single-step splits."""
+    x = fixtures.load(name)
+    yield name, x
+    for e in x.edges:
+        yield f"{name}|edge:{e}", subdivide_edge(x, e)[0]
+    for c in x.cells2:
+        for k in (1, 2):
+            yield f"{name}|chord:{c}:{k}", subdivide_2cell(x, c, k)[0]
+
+
+class TestIndexAgainstScan:
+    """Hom-sets from one-cell extensions against the all-pairs scan."""
+
+    @pytest.mark.parametrize("name", fixtures.GALLERY)
+    def test_targets_gens_and_hom(self, name):
+        for label, x in with_single_step_splits(name):
+            fc = factorization_category(trace_category(x))
+            for a in fc.objects:
+                scan = scan_targets(fc, a)
+                assert fc.targets_from(a) == scan, (label, a)
+                longer = tuple(b for b in scan if len(b) == len(a) + 1)
+                assert fc.gens_from(a) == longer, (label, a)
+                for b in fc.objects:
+                    assert fc.hom(a, b) == is_subchain(a, b), (label, a, b)
+
+    def test_non_object_has_no_targets(self):
+        fc = factorization_category(trace_category(fixtures.load("FIX-EDGE")))
+        assert fc.targets_from(("v1", "v0")) == ()
+        assert fc.gens_from(("v1", "v0")) == ()
+        assert not fc.hom(("v1", "v0"), ("v0", "d", "v1"))
+
+
 class TestNaturalSystem:
     def test_fix_edge_all_singletons(self):
         d = natural_system(fixtures.load("FIX-EDGE"), PI0)
@@ -160,6 +195,19 @@ class TestNaturalSystem:
                     if d.index.hom(mid, b):
                         left = d.maps[(mid, b)].compose(d.maps[(a, mid)])
                         assert left == d.maps[(a, b)]
+
+    def test_components_computed_once_per_complex(self, monkeypatch):
+        computed = []
+        real_pi0 = values.pi0
+
+        def counting_pi0(p):
+            computed.append(p)
+            return real_pi0(p)
+
+        monkeypatch.setattr(values, "pi0", counting_pi0)
+        d = natural_system(fixtures.load("FIX-TWOCELLS"), HOM1)
+        distinct = {id(s.base) for s in d.spaces.values()}
+        assert len(computed) == len({id(p) for p in computed}) == len(distinct)
 
     def test_export_contains_value_lines(self):
         d = natural_system(fixtures.load("FIX-A"), PI0)

@@ -9,6 +9,7 @@ import pytest
 from ditop import fixtures
 from ditop.errors import (
     EndpointMismatch,
+    InvalidFaces,
     NoTrace,
     NotCubical,
     NotExecutionPath,
@@ -63,6 +64,18 @@ class TestVertexPaths:
 
 
 class TestPathComplex:
+    def test_first_call_validates(self):
+        cyclic = GlobularComplex(
+            "X", ["u", "v"], [Edge("a", "u", "v"), Edge("b", "v", "u")]
+        )
+        with pytest.raises(NotLoopFree):
+            path_complex(cyclic, "u", "v")
+        dangling = GlobularComplex("Y", ["u", "v"], [Edge("a", "u", "w")])
+        with pytest.raises(InvalidFaces):
+            path_complex(dangling, "u", "v")
+        with pytest.raises(UnknownState):
+            path_complex(fixtures.load("FIX-B"), "v0", "zz")
+
     def test_square(self):
         p = path_complex(fixtures.load("FIX-SQUARE"), "s00", "s11")
         assert [len(level) for level in p.cubes] == [2, 1]
