@@ -3,11 +3,11 @@
 Chains are free Z-modules on the cubes of a ``PathComplex``, with the
 alternating-sign boundary sum_j (-1)^j (d_j^0 - d_j^1).  Everything is
 arbitrary-precision integer arithmetic: Smith normal form with tracked
-unimodular transforms (and their inverses), homology groups as rank plus
-invariant-factor torsion, adapted generator bases so that cycle classes
-come out as concrete integer vectors.  Maps between trace-space models
-are valued in ``values``, which pushes cycles through chain matrices and
-classifies them here.
+unimodular transforms (and the inverse of the row transform), homology
+groups as rank plus invariant-factor torsion, adapted generator bases so
+that cycle classes come out as concrete integer vectors.  Maps between
+trace-space models are valued in ``values``, which pushes cycles through
+chain matrices and classifies them here.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def mat_copy(a) -> Matrix:
 
 
 class _SnfState:
-    """Mutable SNF workspace tracking U, V and their inverses."""
+    """Mutable SNF workspace tracking U, its inverse and V."""
 
     def __init__(self, m: Matrix):
         self.a = mat_copy(m)
@@ -65,7 +65,6 @@ class _SnfState:
         self.u = mat_identity(self.rows)
         self.u_inv = mat_identity(self.rows)
         self.v = mat_identity(self.cols)
-        self.v_inv = mat_identity(self.cols)
 
     # row ops act on the left: A <- E A, U <- E U, U_inv <- U_inv E^{-1}
     def row_add(self, i, j, q):
@@ -93,7 +92,7 @@ class _SnfState:
         for row in self.u_inv:
             row[i] = -row[i]
 
-    # column ops act on the right: A <- A E, V <- V E, V_inv <- E^{-1} V_inv
+    # column ops act on the right: A <- A E, V <- V E
     def col_add(self, i, j, q):
         if not q:
             return
@@ -101,9 +100,6 @@ class _SnfState:
             row[i] += q * row[j]
         for row in self.v:
             row[i] += q * row[j]
-        vi = self.v_inv
-        for col in range(self.cols):
-            vi[j][col] -= q * vi[i][col]
 
     def col_swap(self, i, j):
         if i == j:
@@ -112,14 +108,6 @@ class _SnfState:
             row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
-        self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
-
-    def col_negate(self, i):
-        for row in self.a:
-            row[i] = -row[i]
-        for row in self.v:
-            row[i] = -row[i]
-        self.v_inv[i] = [-x for x in self.v_inv[i]]
 
 
 def _snf(m: Matrix) -> _SnfState:

@@ -6,7 +6,10 @@ components are isomorphisms forming a natural transformation.  Two
 diagrams are bisimilar when some set of iso-linked object pairs covers
 both sides and completes extension squares both ways; ``bisimilar``
 searches for one by deleting violating triples from the full candidate
-set until stable (a greatest-fixpoint computation).
+set until stable (a greatest-fixpoint computation).  One forth/back
+square-completion clause serves both paths: the search challenges each
+triple along generators, and ``verify_bisimulation`` re-checks the
+certificate along every morphism.
 
 Candidate isomorphisms come from the valuation layer; when their
 enumeration is incomplete (free rank two or beyond, composite torsion) a
@@ -129,60 +132,91 @@ def _square_commutes(f_map, g_map, eta, eta2, src_empty, tgt_simple) -> bool:
     return g_map.compose(eta) == eta2.compose(f_map)
 
 
-def verify_bisimulation(r, f: Diagram, g: Diagram):
-    """Exhaustive check of the coverage and square-completion clauses.
+def _uncovered(triples, f: Diagram, g: Diagram) -> list[tuple[str, object]]:
+    """Objects in no triple, as ("left", i) then ("right", j), in object order."""
+    covered_i = {t[0] for t in triples}
+    covered_j = {t[2] for t in triples}
+    return [("left", i) for i in f.index.objects if i not in covered_i] + [
+        ("right", j) for j in g.index.objects if j not in covered_j
+    ]
 
-    Every morphism i -> i2 (j -> j2) is checked, not only generators; the
-    answering triples are looked up by object pair among the targets of
-    the other side.  Returns (True, None) or (False, description of the
-    first violation).
+
+def _square_clause(f: Diagram, g: Diagram, answers: dict, triples, live):
+    """The forth/back square-completion clause against answering triples.
+
+    ``answers`` maps an object pair (i2, j2) to ids into ``triples``;
+    only ids in ``live`` may answer.  The returned ``stuck(i, eta, j, i_steps,
+    j_steps)`` challenges the triple along each i -> i2 in ``i_steps``
+    (forth), answered by some j -> j2 among all targets of j and a triple
+    (i2, eta2, j2) whose square commutes, then along each j -> j2 in
+    ``j_steps`` (back), symmetrically.  It returns the first unanswered
+    step as ("forth", i, i2) or ("back", j, j2), or None.
     """
-    triples = tuple(r.triples) if isinstance(r, Bisimulation) else tuple(r)
-    covered_i = {i for i, _, _ in triples}
-    covered_j = {j for _, _, j in triples}
-    for i in f.index.objects:
-        if i not in covered_i:
-            return False, f"clause 1: object {_fmt(i)} of the left diagram uncovered"
-    for j in g.index.objects:
-        if j not in covered_j:
-            return False, f"clause 1: object {_fmt(j)} of the right diagram uncovered"
-    by_pair: dict = {}
-    for i, eta, j in triples:
-        by_pair.setdefault((i, j), []).append(eta)
+    f_maps, g_maps = f.maps, g.maps
     empty_f = {i: f.value(i).components == 0 for i in f.index.objects}
     simple_g = {j: _is_simple(g.value(j)) for j in g.index.objects}
+    f_targets = {i: f.index.targets_from(i) for i in f.index.objects}
+    g_targets = {j: g.index.targets_from(j) for j in g.index.objects}
 
     def completes(i, eta, j, i2, j2) -> bool:
-        for eta2 in by_pair.get((i2, j2), ()):
-            if _square_commutes(
-                f.map(i, i2), g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
+        for k in answers.get((i2, j2), ()):
+            if k in live and _square_commutes(
+                f_maps[i, i2],
+                g_maps[j, j2],
+                eta,
+                triples[k][1],
+                empty_f[i],
+                simple_g[j2],
             ):
                 return True
         return False
 
-    for i, eta, j in triples:
-        i_targets = f.index.targets_from(i)
-        j_targets = g.index.targets_from(j)
-        for i2 in i_targets:
+    def stuck(i, eta, j, i_steps, j_steps):
+        j_targets = g_targets[j]
+        for i2 in i_steps:
             for j2 in j_targets:
                 if completes(i, eta, j, i2, j2):
                     break
             else:
-                return (
-                    False,
-                    f"clause 2 (forth): {_fmt(i)} ~ {_fmt(j)} stuck along "
-                    f"{_fmt(i)} -> {_fmt(i2)}",
-                )
-        for j2 in j_targets:
+                return "forth", i, i2
+        i_targets = f_targets[i]
+        for j2 in j_steps:
             for i2 in i_targets:
                 if completes(i, eta, j, i2, j2):
                     break
             else:
-                return (
-                    False,
-                    f"clause 2 (back): {_fmt(i)} ~ {_fmt(j)} stuck along "
-                    f"{_fmt(j)} -> {_fmt(j2)}",
-                )
+                return "back", j, j2
+        return None
+
+    return stuck
+
+
+def verify_bisimulation(r, f: Diagram, g: Diagram):
+    """Exhaustive check of the coverage and square-completion clauses.
+
+    The square clause of ``bisimilar`` is challenged along every
+    morphism i -> i2 (j -> j2), not only generators, and answered by any
+    triple of the relation.  Returns (True, None) or (False, description
+    of the first violation).
+    """
+    triples = tuple(r.triples) if isinstance(r, Bisimulation) else tuple(r)
+    missing = _uncovered(triples, f, g)
+    if missing:
+        side, obj = missing[0]
+        return False, f"clause 1: object {_fmt(obj)} of the {side} diagram uncovered"
+    by_pair: dict = {}
+    for k, (i, _, j) in enumerate(triples):
+        by_pair.setdefault((i, j), []).append(k)
+    stuck = _square_clause(f, g, by_pair, triples, range(len(triples)))
+    for i, eta, j in triples:
+        why = stuck(i, eta, j, f.index.targets_from(i), g.index.targets_from(j))
+        if why is not None:
+            side, a, b = why
+            return (
+                False,
+                f"clause 2 ({side}): {_fmt(i)} ~ {_fmt(j)} stuck along "
+                f"{_fmt(a)} -> {_fmt(b)}",
+            )
     return True, None
 
 
@@ -205,12 +239,13 @@ def bisimilar(f: Diagram, g: Diagram, max_trace: int = 50) -> BisimResult:
     """Greatest-fixpoint search for a bisimulation between two diagrams.
 
     Seeds every iso candidate between every object pair, then deletes
-    triples whose forth or back condition fails along some one-step
-    extension until stable.  The triples of one object pair sit in a
-    contiguous range, so a condition looks up only the pairs (i2, j2)
-    it can use.  Square conditions for composite extensions follow by
-    pasting, so generators suffice; the returned relation is re-verified
-    against all morphisms.
+    triples that the square clause leaves stuck along some one-step
+    extension (a generator), answered only by live triples, until
+    stable.  The triples of one object pair sit in a contiguous range,
+    so the clause looks up only the pairs (i2, j2) it can use.  Square
+    conditions for composite extensions follow by pasting, so generators
+    suffice; ``verify_bisimulation`` re-checks the returned relation with
+    the same clause along every morphism.
     """
     exact = True
     triples: list[tuple] = []
@@ -222,78 +257,35 @@ def bisimilar(f: Diagram, g: Diagram, max_trace: int = 50) -> BisimResult:
             if cands:
                 by_pair[(i, j)] = range(len(triples), len(triples) + len(cands))
                 triples.extend((i, eta, j) for eta in cands)
-    empty_f = {i: f.value(i).components == 0 for i in f.index.objects}
-    simple_g = {j: _is_simple(g.value(j)) for j in g.index.objects}
-    f_targets = {i: f.index.targets_from(i) for i in f.index.objects}
-    g_targets = {j: g.index.targets_from(j) for j in g.index.objects}
     alive = set(range(len(triples)))
+    stuck = _square_clause(f, g, by_pair, triples, alive)
     trace: list[str] = []
-
-    def completes(i, eta, j, i2, j2) -> bool:
-        for idx2 in by_pair.get((i2, j2), ()):
-            eta2 = triples[idx2][1]
-            if idx2 in alive and _square_commutes(
-                f.map(i, i2), g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
-            ):
-                return True
-        return False
-
-    def forth_ok(idx) -> bool:
-        i, eta, j = triples[idx]
-        for i2 in f.index.gens_from(i):
-            for j2 in g_targets[j]:
-                if completes(i, eta, j, i2, j2):
-                    break
-            else:
-                if len(trace) < max_trace:
-                    trace.append(
-                        f"drop {_fmt(i)} ~ {_fmt(j)}: forth fails along "
-                        f"{_fmt(i)} -> {_fmt(i2)}"
-                    )
-                return False
-        return True
-
-    def back_ok(idx) -> bool:
-        i, eta, j = triples[idx]
-        for j2 in g.index.gens_from(j):
-            for i2 in f_targets[i]:
-                if completes(i, eta, j, i2, j2):
-                    break
-            else:
-                if len(trace) < max_trace:
-                    trace.append(
-                        f"drop {_fmt(i)} ~ {_fmt(j)}: back fails along "
-                        f"{_fmt(j)} -> {_fmt(j2)}"
-                    )
-                return False
-        return True
-
     changed = True
     while changed:
         changed = False
         for idx in sorted(alive):
-            if not (forth_ok(idx) and back_ok(idx)):
+            i, eta, j = triples[idx]
+            why = stuck(i, eta, j, f.index.gens_from(i), g.index.gens_from(j))
+            if why is not None:
+                if len(trace) < max_trace:
+                    side, a, b = why
+                    trace.append(
+                        f"drop {_fmt(i)} ~ {_fmt(j)}: {side} fails along "
+                        f"{_fmt(a)} -> {_fmt(b)}"
+                    )
                 alive.discard(idx)
                 changed = True
 
-    covered_i = {triples[idx][0] for idx in alive}
-    covered_j = {triples[idx][2] for idx in alive}
-    missing = [
-        f"uncovered left object {_fmt(i)}"
-        for i in f.index.objects
-        if i not in covered_i
-    ] + [
-        f"uncovered right object {_fmt(j)}"
-        for j in g.index.objects
-        if j not in covered_j
-    ]
+    missing = _uncovered([triples[idx] for idx in alive], f, g)
     if not missing:
         surviving = Bisimulation(tuple(triples[idx] for idx in sorted(alive)))
         ok, why = verify_bisimulation(surviving, f, g)
         if not ok:
             raise NotFunctorial(f"fixpoint produced an invalid relation: {why}")
         return BisimResult("yes", exact, surviving, ())
-    refutation = tuple(missing[:max_trace]) + tuple(trace)
+    refutation = tuple(
+        f"uncovered {side} object {_fmt(obj)}" for side, obj in missing[:max_trace]
+    ) + tuple(trace)
     verdict = "no" if exact else "unknown"
     return BisimResult(verdict, exact, None, refutation)
 

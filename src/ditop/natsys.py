@@ -18,15 +18,14 @@ extension the induced map; the rules per extension shape are:
   constant route at the shared reduced endpoint.
 
 The module also builds the two comparison morphisms the tool checks:
-the map induced by a cellular collapse, and the map from the
-center-representative restriction of the continuous system onto the
-discrete one.
+the map induced by a cellular collapse, and the comparison of the
+continuous system with the discrete one, which is taken to be the
+identity of the discrete system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .errors import CapExceeded, NotFunctorial
 from .gcomplex import CellularMap, GlobularComplex, is_chain, require_loop_free
@@ -65,9 +64,6 @@ class TraceCategoryD:
 
     complex: GlobularComplex
     chains: tuple[Chain, ...]
-
-    def identity(self, cell: str) -> Chain:
-        return (cell,)
 
     def compose(self, first: Chain, second: Chain) -> Chain:
         """Concatenation with the shared endpoint cell written once."""
@@ -159,35 +155,6 @@ def factorization_category(tc: TraceCategoryD) -> FactCat:
     return FactCat(tc.chains)
 
 
-class RelabeledIndex:
-    """The same poset with objects wrapped one-to-one."""
-
-    def __init__(self, base: FactCat, wrap: Callable, unwrap: Callable):
-        self.base = base
-        self.wrap = wrap
-        self.unwrap = unwrap
-        self.objects = tuple(wrap(o) for o in base.objects)
-
-    def __contains__(self, t) -> bool:
-        return self.unwrap(t) in self.base
-
-    def hom(self, a, b) -> bool:
-        return self.base.hom(self.unwrap(a), self.unwrap(b))
-
-    def extension_pair(self, a, b):
-        return self.base.extension_pair(self.unwrap(a), self.unwrap(b))
-
-    def targets_from(self, a):
-        return tuple(self.wrap(t) for t in self.base.targets_from(self.unwrap(a)))
-
-    def gens_from(self, a):
-        return tuple(self.wrap(t) for t in self.base.gens_from(self.unwrap(a)))
-
-    def generators(self):
-        for a, b in self.base.generators():
-            yield self.wrap(a), self.wrap(b)
-
-
 # -- diagrams -------------------------------------------------------------------
 
 
@@ -195,9 +162,7 @@ class RelabeledIndex:
 class Diagram:
     """A functor from a factorization poset into valued spaces."""
 
-    label: str
-    index: FactCat | RelabeledIndex
-    valuation: Valuation
+    index: FactCat
     spaces: dict
     values: dict
     maps: dict  # (src_obj, tgt_obj) -> ValueMap, for every hom pair
@@ -207,9 +172,6 @@ class Diagram:
 
     def map(self, a, b) -> ValueMap:
         return self.maps[(a, b)]
-
-    def morphisms(self):
-        return self.maps.keys()
 
 
 @dataclass
@@ -297,7 +259,7 @@ class _SystemBuilder:
 
     # -- assembly ------------------------------------------------------------
 
-    def build(self, label: str) -> Diagram:
+    def build(self) -> Diagram:
         objects = self.index.objects
         spaces = {t: self.space(t) for t in objects}
         values = {t: self.valuation.value(spaces[t]) for t in objects}
@@ -322,18 +284,14 @@ class _SystemBuilder:
                         frontier.append(w)
             for w, m in known.items():
                 maps[(t, w)] = m
-        return Diagram(label, self.index, self.valuation, spaces, values, maps)
+        return Diagram(self.index, spaces, values, maps)
 
 
 def natural_system(
-    x: GlobularComplex,
-    valuation: Valuation,
-    cap: int = DEFAULT_CAP,
-    label: Optional[str] = None,
+    x: GlobularComplex, valuation: Valuation, cap: int = DEFAULT_CAP
 ) -> Diagram:
     """The discrete natural system of x under the given valuation."""
-    builder = _SystemBuilder(x, valuation, cap)
-    return builder.build(label or f"NTd({x.name})")
+    return _SystemBuilder(x, valuation, cap).build()
 
 
 def format_chain(t: Chain) -> str:
@@ -529,41 +487,17 @@ def crush_induced_map(
 def dt_comparison(
     x: GlobularComplex, valuation: Valuation, cap: int = DEFAULT_CAP
 ) -> DiagramMap:
-    """From the center-representative restriction of the continuous
-    system onto the discrete one.
+    """The identity map of the discrete natural system of x.
 
-    Each discrete trace has a canonical representative trace running
-    through the centers of its cells; the values and extension actions
-    of the continuous system at these representatives reduce to exactly
-    the discrete data, so the comparison components are identities and
-    the index functor is the bijection that forgets the representative.
-    Since the source is the discrete system relabelled and the components
-    are identities by construction, this map is always open: ``check-open
-    --comparison`` prints OPEN and does not test the paper's comparison
-    against an independently built continuous system.
+    This stands for the comparison from the center-representative
+    restriction of the continuous system onto the discrete one: each
+    discrete trace has a canonical representative through the centers
+    of its cells, whose values and extension actions are exactly the
+    discrete data.  ditop builds no continuous system, so the map is the
+    identity and always open: ``check-open --comparison`` prints OPEN and
+    does not test the paper's comparison.
     """
-    tgt = natural_system(x, valuation, cap)
-
-    def wrap(t):
-        return ("ct",) + t
-
-    def unwrap(t):
-        return t[1:]
-
-    index = RelabeledIndex(tgt.index, wrap, unwrap)
-    src = Diagram(
-        f"NT({x.name})|reps",
-        index,
-        valuation,
-        {wrap(t): s for t, s in tgt.spaces.items()},
-        {wrap(t): v for t, v in tgt.values.items()},
-        {(wrap(a), wrap(b)): m for (a, b), m in tgt.maps.items()},
-    )
-    obj_map = {wrap(t): t for t in tgt.index.objects}
-    components = {
-        wrap(t): ValueMap.identity(tgt.values[t]) for t in tgt.index.objects
-    }
-    return DiagramMap(src, tgt, obj_map, components)
+    return identity_diagram_map(natural_system(x, valuation, cap))
 
 
 # -- coarsening along a refinement -------------------------------------------------
@@ -581,8 +515,8 @@ def coarsening_map(
     ``refinement`` sends every cell of the fine complex to the coarse
     cell it lies in, as produced by the subdivision operations.
     """
-    src = natural_system(fine, valuation, cap, label=f"NTd({fine.name}|fine)")
-    tgt = natural_system(coarse, valuation, cap, label=f"NTd({coarse.name})")
+    src = natural_system(fine, valuation, cap)
+    tgt = natural_system(coarse, valuation, cap)
 
     def chain_image(t: Chain) -> Chain:
         out = []

@@ -116,18 +116,6 @@ class PLMap:
 
     # -- derived maps ----------------------------------------------------
 
-    def restrict(self, a, b) -> "PLMap":
-        """Restriction to the subinterval [a, b] of the domain."""
-        a, b = frac(a), frac(b)
-        if not self.t_min <= a <= b <= self.t_max:
-            raise DomainMismatch(f"[{a}, {b}] not inside [{self.t_min}, {self.t_max}]")
-        if a == b:
-            return PLMap([(a, self(a))])
-        pts = [(a, self(a))]
-        pts += [(t, v) for t, v in self.breakpoints if a < t < b]
-        pts.append((b, self(b)))
-        return PLMap(pts)
-
     def shift_domain(self, dt) -> "PLMap":
         dt = frac(dt)
         return PLMap([(t + dt, v) for t, v in self.breakpoints])
@@ -298,10 +286,6 @@ class MoorePathPL:
         return MoorePathPL(
             length, [constant_pl(0, length, frac(v)) for v in values]
         )
-
-    @staticmethod
-    def from_components(components: Sequence[PLMap]) -> "MoorePathPL":
-        return MoorePathPL(components[0].t_max, components)
 
     def __call__(self, t) -> tuple[Fraction, ...]:
         return tuple(c(t) for c in self.components)

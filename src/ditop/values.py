@@ -28,7 +28,7 @@ from .algtop import (
     mat_zero,
     pi0,
 )
-from .errors import CapExceeded, NotFunctorial
+from .errors import CapExceeded, NotFunctorial, ParseError
 from .pathspace import SpaceMap, TraceSpaceValue
 
 CANDIDATE_CAP = 2048
@@ -343,9 +343,10 @@ class Valuation:
 def parse_valuation(text: str) -> Valuation:
     if text == "pi0":
         return Valuation("pi0")
-    if text.startswith("hom:"):
-        return Valuation("hom", int(text.split(":", 1)[1]))
-    raise ValueError(f"valuation must be pi0 or hom:<k>, got {text!r}")
+    kind, _, degree = text.partition(":")
+    if kind == "hom" and degree.isascii() and degree.isdigit():
+        return Valuation("hom", int(degree))
+    raise ParseError(f"valuation must be pi0 or hom:<k>, got {text!r}")
 
 
 # -- isomorphism candidates -------------------------------------------------------

@@ -183,3 +183,62 @@ def verify_bisimulation_by_scan(r, f, g):
                     f"{_fmt(j)} -> {_fmt(j2)}",
                 )
     return True, None
+
+
+def bisimilar_by_scan(f, g):
+    """Brute-force oracle for ``bisim.bisimilar``: (verdict, survivors).
+
+    Seeds every iso candidate between every object pair in object order,
+    then, round by round, keeps only the triples that every morphism out
+    of either end (from ``scan_targets``) can challenge and some live
+    triple answers, found by scanning the live triples at the far object
+    with ``is_subchain``.  Stops when a round deletes nothing: the
+    greatest fixpoint.  The verdict is "yes" when the survivors cover
+    both sides, else "no", or "unknown" if some candidate enumeration
+    was incomplete.
+    """
+    from ditop.bisim import _is_simple, _square_commutes
+    from ditop.values import iso_candidates
+
+    exact = True
+    live = []
+    for i in f.index.objects:
+        for j in g.index.objects:
+            cands, complete = iso_candidates(f.value(i), g.value(j))
+            exact = exact and complete
+            live.extend((i, eta, j) for eta in cands)
+    empty_f = {i: f.value(i).components == 0 for i in f.index.objects}
+    simple_g = {j: _is_simple(g.value(j)) for j in g.index.objects}
+
+    def square(i, eta, j, i2, eta2, j2):
+        return _square_commutes(
+            f.map(i, i2), g.map(j, j2), eta, eta2, empty_f[i], simple_g[j2]
+        )
+
+    def survives(i, eta, j, by_i, by_j):
+        for i2 in scan_targets(f.index, i):
+            if not any(
+                is_subchain(j, j2) and square(i, eta, j, i2, eta2, j2)
+                for _, eta2, j2 in by_i.get(i2, ())
+            ):
+                return False
+        for j2 in scan_targets(g.index, j):
+            if not any(
+                is_subchain(i, i2) and square(i, eta, j, i2, eta2, j2)
+                for i2, eta2, _ in by_j.get(j2, ())
+            ):
+                return False
+        return True
+
+    while True:
+        by_i, by_j = {}, {}
+        for t in live:
+            by_i.setdefault(t[0], []).append(t)
+            by_j.setdefault(t[2], []).append(t)
+        kept = [t for t in live if survives(*t, by_i, by_j)]
+        if len(kept) == len(live):
+            break
+        live = kept
+    covered = set(by_i) == set(f.index.objects) and set(by_j) == set(g.index.objects)
+    verdict = "yes" if covered else ("no" if exact else "unknown")
+    return verdict, tuple(live)

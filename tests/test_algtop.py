@@ -3,11 +3,15 @@
 import random
 from fractions import Fraction
 
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
 from ditop import fixtures
 from ditop.algtop import (
     FgAbGroup,
     FinSetMap,
     GroupHom,
+    _snf,
     chain_complex,
     homology,
     homology_basis,
@@ -97,6 +101,11 @@ class TestSNF:
             for a, b in zip(nz, nz[1:]):
                 assert b % a == 0
             assert all(x >= 0 for x in diag)
+            st = _snf(m)
+            assert mat_mul(st.u, st.u_inv) == mat_identity(rows)
+            oracle = sympy_snf(Matrix(m), domain=ZZ)
+            oracle_diag = [abs(oracle[i, i]) for i in range(min(rows, cols))]
+            assert nz == [x for x in oracle_diag if x]
 
     def test_solver(self):
         m = [[2, 0], [0, 3]]

@@ -17,6 +17,7 @@ from ditop.natsys import (
     FactCat,
     crush_induced_map,
     dt_comparison,
+    format_chain,
     identity_diagram_map,
     natural_system,
     refinement_span,
@@ -24,22 +25,17 @@ from ditop.natsys import (
 from ditop.algtop import FinSetMap
 from ditop.values import Valuation, Value, ValueMap
 
-from helpers import verify_bisimulation_by_scan
+from helpers import bisimilar_by_scan, verify_bisimulation_by_scan
 
 PI0 = Valuation("pi0")
 HOM1 = Valuation("hom", 1)
 
 
-def one_object_diagram(size: int, label="D") -> Diagram:
+def one_object_diagram(size: int) -> Diagram:
     index = FactCat([("a",)])
     value = Value(size)
     return Diagram(
-        label,
-        index,
-        PI0,
-        {},
-        {("a",): value},
-        {(("a",), ("a",)): ValueMap.identity(value)},
+        index, {}, {("a",): value}, {(("a",), ("a",)): ValueMap.identity(value)}
     )
 
 
@@ -179,7 +175,7 @@ class TestBisimilar:
             assert res.verdict == "yes" and res.exact
 
     def test_size_mismatch_refuted(self):
-        res = bisimilar(one_object_diagram(1, "L"), one_object_diagram(2, "R"))
+        res = bisimilar(one_object_diagram(1), one_object_diagram(2))
         assert res.verdict == "no" and res.exact
         assert res.bisimulation is None
         assert any("uncovered" in line for line in res.refutation)
@@ -211,6 +207,46 @@ class TestBisimilar:
         r1 = bisimilar(f1, g1)
         assert r1.verdict == "no" and r1.exact
         assert r0.verdict in ("yes", "no")
+
+
+class TestFixpointAgainstScan:
+    """The fixpoint against a brute-force greatest fixpoint that checks
+    every morphism and scans every triple for answers."""
+
+    @pytest.mark.parametrize(
+        "left, right, val",
+        [
+            ("FIX-EDGE", "FIX-EDGE-split", PI0),
+            ("FIX-EDGE", "FIX-EDGE-split", HOM1),
+            ("FIX-EDGE", "FIX-B", PI0),
+            ("FIX-LOOPCELL", "FIX-LOOPCELL", HOM1),
+            ("FIX-HOLLOW", "FIX-SQUARE", PI0),
+            ("FIX-A", "FIX-B", PI0),
+        ],
+    )
+    def test_same_verdict_and_certificate(self, left, right, val):
+        f = natural_system(fixtures.load(left), val)
+        g = natural_system(fixtures.load(right), val)
+        res = bisimilar(f, g)
+        verdict, survivors = bisimilar_by_scan(f, g)
+        assert res.verdict == verdict
+        if verdict == "yes":
+            assert res.bisimulation.triples == survivors
+        else:
+            # a refutation opens with the objects the survivors leave uncovered
+            left_cov = {i for i, _, _ in survivors}
+            right_cov = {j for _, _, j in survivors}
+            uncovered = [
+                f"uncovered left object {format_chain(i)}"
+                for i in f.index.objects
+                if i not in left_cov
+            ] + [
+                f"uncovered right object {format_chain(j)}"
+                for j in g.index.objects
+                if j not in right_cov
+            ]
+            got = [line for line in res.refutation if line.startswith("uncovered")]
+            assert got == uncovered[:50]
 
 
 class TestSpans:

@@ -96,6 +96,15 @@ class TestBisim:
         assert code == 1
         assert out.splitlines()[0] == "BISIMILAR no"
 
+    def test_bad_valuation_exit_2(self, capsys):
+        for val in ("hom:x", "hom:-1"):
+            code = main(["bisim", "FIX-A", "FIX-B", "--val", val])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == (
+                f"error: valuation must be pi0 or hom:<k>, got {val!r}\n"
+            )
+
 
 class TestSubdivideImport:
     def test_subdivide_edge_valid_gcx(self, capsys):

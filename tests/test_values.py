@@ -4,7 +4,7 @@ import pytest
 
 from ditop import fixtures
 from ditop.algtop import FgAbGroup
-from ditop.errors import NotFunctorial
+from ditop.errors import NotFunctorial, ParseError
 from ditop.pathspace import trace_space
 from ditop.values import (
     Valuation,
@@ -22,8 +22,9 @@ class TestValuation:
     def test_parse(self):
         assert parse_valuation("pi0").label == "pi0"
         assert parse_valuation("hom:2").maxdeg == 2
-        with pytest.raises(ValueError):
-            parse_valuation("rainbow")
+        for bad in ("rainbow", "hom:x", "hom:-1", "hom:"):
+            with pytest.raises(ParseError, match="valuation must be pi0 or hom:<k>"):
+                parse_valuation(bad)
 
     def test_pi0_counts_extra_point(self):
         x = fixtures.load("FIX-A")
