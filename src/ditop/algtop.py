@@ -269,13 +269,19 @@ class GroupHom:
         return GroupHom.make(g, g, mat_identity(g.n_gens))
 
     def compose(self, first: "GroupHom") -> "GroupHom":
-        """self after first."""
-        if first.tgt != self.src:
+        """self after first; the product of two valid matrices is not re-checked."""
+        if first.tgt is not self.src and first.tgt != self.src:
             raise ValueError("homs not composable")
-        return GroupHom.make(
-            first.src, self.tgt, mat_mul([list(r) for r in self.matrix],
-                                         [list(r) for r in first.matrix])
+        orders = self.tgt.gen_orders()
+        if first.matrix:
+            product = mat_mul(self.matrix, first.matrix)
+        else:  # through the trivial group, which mat_mul cannot see the width of
+            product = [[0] * first.src.n_gens for _ in orders]
+        rows = tuple(
+            tuple(v % d for v in row) if d else tuple(row)
+            for row, d in zip(product, orders)
         )
+        return GroupHom(first.src, self.tgt, rows)
 
     def is_surjective(self) -> bool:
         cols = [list(r) for r in self.matrix]
@@ -517,9 +523,13 @@ class FinSetMap:
     def compose(self, first: "FinSetMap") -> "FinSetMap":
         if first.tgt_size != self.src_size:
             raise ValueError("maps not composable")
-        return FinSetMap(
-            first.src_size, self.tgt_size, tuple(self.images[i] for i in first.images)
-        )
+        images = self.images
+        composite = object.__new__(FinSetMap)  # valid by construction: skip checks
+        _set = object.__setattr__
+        _set(composite, "src_size", first.src_size)
+        _set(composite, "tgt_size", self.tgt_size)
+        _set(composite, "images", tuple([images[i] for i in first.images]))
+        return composite
 
     def is_bijective(self) -> bool:
         return self.src_size == self.tgt_size and len(set(self.images)) == self.src_size

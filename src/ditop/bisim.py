@@ -7,9 +7,11 @@ diagrams are bisimilar when some set of iso-linked object pairs covers
 both sides and completes extension squares both ways; ``bisimilar``
 searches for one by deleting violating triples from the full candidate
 set until stable (a greatest-fixpoint computation).  One forth/back
-square-completion clause serves both paths: the search challenges each
-triple along generators, and ``verify_bisimulation`` re-checks the
-certificate along every morphism.
+square-completion clause serves both paths, challenging each triple
+along generators: the search answers with live triples only, and
+``verify_bisimulation`` re-checks the certificate answering with any of
+its triples.  Generators suffice because every diagram built by
+``natural_system`` is functorial, so squares paste along composites.
 
 Candidate isomorphisms come from the valuation layer; when their
 enumeration is incomplete (free rank two or beyond, composite torsion) a
@@ -126,12 +128,6 @@ def _is_simple(v: Value) -> bool:
     return v.components <= 1 and all(g.n_gens == 0 for g in v.groups[1:])
 
 
-def _square_commutes(f_map, g_map, eta, eta2, src_empty, tgt_simple) -> bool:
-    if src_empty or tgt_simple:
-        return True
-    return g_map.compose(eta) == eta2.compose(f_map)
-
-
 def _uncovered(triples, f: Diagram, g: Diagram) -> list[tuple[str, object]]:
     """Objects in no triple, as ("left", i) then ("right", j), in object order."""
     covered_i = {t[0] for t in triples}
@@ -148,9 +144,12 @@ def _square_clause(f: Diagram, g: Diagram, answers: dict, triples, live):
     only ids in ``live`` may answer.  The returned ``stuck(i, eta, j, i_steps,
     j_steps)`` challenges the triple along each i -> i2 in ``i_steps``
     (forth), answered by some j -> j2 among all targets of j and a triple
-    (i2, eta2, j2) whose square commutes, then along each j -> j2 in
-    ``j_steps`` (back), symmetrically.  It returns the first unanswered
-    step as ("forth", i, i2) or ("back", j, j2), or None.
+    (i2, eta2, j2) whose square g(j -> j2) . eta = eta2 . f(i -> i2)
+    commutes, then along each j -> j2 in ``j_steps`` (back), symmetrically.
+    It returns the first unanswered step as ("forth", i, i2) or ("back", j,
+    j2), or None.  A square commutes without composing when i has the
+    empty value or j2 a value with at most one element and no homology:
+    then both sides are the one map there is.
     """
     f_maps, g_maps = f.maps, g.maps
     empty_f = {i: f.value(i).components == 0 for i in f.index.objects}
@@ -158,31 +157,38 @@ def _square_clause(f: Diagram, g: Diagram, answers: dict, triples, live):
     f_targets = {i: f.index.targets_from(i) for i in f.index.objects}
     g_targets = {j: g.index.targets_from(j) for j in g.index.objects}
 
-    def completes(i, eta, j, i2, j2) -> bool:
-        for k in answers.get((i2, j2), ()):
-            if k in live and _square_commutes(
-                f_maps[i, i2],
-                g_maps[j, j2],
-                eta,
-                triples[k][1],
-                empty_f[i],
-                simple_g[j2],
-            ):
+    def answered(ks, left, f_map) -> bool:
+        for k in ks:
+            if k in live and (left is None or left == triples[k][1].compose(f_map)):
                 return True
         return False
 
     def stuck(i, eta, j, i_steps, j_steps):
+        trivial_i = empty_f[i]
         j_targets = g_targets[j]
         for i2 in i_steps:
+            f_map = f_maps[i, i2]
             for j2 in j_targets:
-                if completes(i, eta, j, i2, j2):
+                ks = answers.get((i2, j2))
+                if not ks:
+                    continue
+                trivial = trivial_i or simple_g[j2]
+                left = None if trivial else g_maps[j, j2].compose(eta)
+                if answered(ks, left, f_map):
                     break
             else:
                 return "forth", i, i2
         i_targets = f_targets[i]
         for j2 in j_steps:
+            trivial = trivial_i or simple_g[j2]
+            left = None
             for i2 in i_targets:
-                if completes(i, eta, j, i2, j2):
+                ks = answers.get((i2, j2))
+                if not ks:
+                    continue
+                if left is None and not trivial:
+                    left = g_maps[j, j2].compose(eta)
+                if answered(ks, left, f_maps[i, i2]):
                     break
             else:
                 return "back", j, j2
@@ -192,12 +198,19 @@ def _square_clause(f: Diagram, g: Diagram, answers: dict, triples, live):
 
 
 def verify_bisimulation(r, f: Diagram, g: Diagram):
-    """Exhaustive check of the coverage and square-completion clauses.
+    """Check the coverage and square-completion clauses of a relation.
 
     The square clause of ``bisimilar`` is challenged along every
-    morphism i -> i2 (j -> j2), not only generators, and answered by any
-    triple of the relation.  Returns (True, None) or (False, description
-    of the first violation).
+    generator i -> i2 (j -> j2) and answered by any triple of the
+    relation, at any target of j (of i) on the far side.  Generators
+    suffice when both diagrams are functorial, i.e. a composite
+    extension maps to the composite of its generators' maps: pasting the
+    squares of the generator steps then gives the square of every
+    morphism, and an identity step is answered by the triple itself.
+    Every ``Diagram`` made by ``natural_system`` is functorial, since its
+    build rejects composites that disagree; a relation between diagrams
+    assembled some other way is only checked along generators.  Returns
+    (True, None) or (False, description of the first violation).
     """
     triples = tuple(r.triples) if isinstance(r, Bisimulation) else tuple(r)
     missing = _uncovered(triples, f, g)
@@ -209,7 +222,7 @@ def verify_bisimulation(r, f: Diagram, g: Diagram):
         by_pair.setdefault((i, j), []).append(k)
     stuck = _square_clause(f, g, by_pair, triples, range(len(triples)))
     for i, eta, j in triples:
-        why = stuck(i, eta, j, f.index.targets_from(i), g.index.targets_from(j))
+        why = stuck(i, eta, j, f.index.gens_from(i), g.index.gens_from(j))
         if why is not None:
             side, a, b = why
             return (
@@ -241,18 +254,27 @@ def bisimilar(f: Diagram, g: Diagram, max_trace: int = 50) -> BisimResult:
     Seeds every iso candidate between every object pair, then deletes
     triples that the square clause leaves stuck along some one-step
     extension (a generator), answered only by live triples, until
-    stable.  The triples of one object pair sit in a contiguous range,
-    so the clause looks up only the pairs (i2, j2) it can use.  Square
+    stable.  Candidates are enumerated once per distinct pair of values
+    (object pairs with equal values share their ``eta`` objects), and
+    the triples of one object pair sit in a contiguous range, so the
+    clause looks up only the pairs (i2, j2) it can use.  Square
     conditions for composite extensions follow by pasting, so generators
     suffice; ``verify_bisimulation`` re-checks the returned relation with
-    the same clause along every morphism.
+    the same clause, answered by any of its triples.
     """
     exact = True
     triples: list[tuple] = []
     by_pair: dict = {}
-    for i in f.index.objects:
-        for j in g.index.objects:
-            cands, complete = iso_candidates(f.value(i), g.value(j))
+    value_ids: dict = {}
+    f_ids = [value_ids.setdefault(f.value(i), len(value_ids)) for i in f.index.objects]
+    g_ids = [value_ids.setdefault(g.value(j), len(value_ids)) for j in g.index.objects]
+    seeds: dict = {}  # (value id, value id) -> iso_candidates of the two values
+    for i, fi in zip(f.index.objects, f_ids):
+        for j, gj in zip(g.index.objects, g_ids):
+            key = fi, gj
+            if key not in seeds:
+                seeds[key] = iso_candidates(f.value(i), g.value(j))
+            cands, complete = seeds[key]
             exact = exact and complete
             if cands:
                 by_pair[(i, j)] = range(len(triples), len(triples) + len(cands))

@@ -154,14 +154,12 @@ class ValueMap:
     homs: tuple[GroupHom, ...] = ()  # degrees 1..maxdeg under hom valuation
 
     def compose(self, first: "ValueMap") -> "ValueMap":
-        if first.tgt != self.src:
+        if first.tgt is not self.src and first.tgt != self.src:
             raise ValueError("value maps not composable")
-        return ValueMap(
-            first.src,
-            self.tgt,
-            self.comp.compose(first.comp),
-            tuple(s.compose(f) for s, f in zip(self.homs, first.homs)),
+        homs = self.homs and tuple(
+            [s.compose(f) for s, f in zip(self.homs, first.homs)]
         )
+        return ValueMap(first.src, self.tgt, self.comp.compose(first.comp), homs)
 
     def is_iso(self) -> bool:
         return self.comp.is_bijective() and all(h.is_iso() for h in self.homs)

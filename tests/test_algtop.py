@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -305,3 +306,93 @@ class TestGroupHom:
         g = FgAbGroup(0, (3,))
         h = GroupHom.make(g, g, [[4]])
         assert h.matrix == ((1,),)
+
+
+GROUPS = [
+    FgAbGroup(0),
+    FgAbGroup(1),
+    FgAbGroup(2),
+    FgAbGroup(0, (2,)),
+    FgAbGroup(0, (4,)),
+    FgAbGroup(0, (6,)),
+    FgAbGroup(1, (2,)),
+    FgAbGroup(1, (4,)),
+    FgAbGroup(0, (2, 4)),
+    FgAbGroup(2, (2, 6)),
+]
+
+
+def rand_hom(rng, src, tgt):
+    rows = [[rng.randint(-7, 7) for _ in range(src.n_gens)] for _ in range(tgt.n_gens)]
+    return GroupHom.make(src, tgt, rows)
+
+
+class TestCompose:
+    """Composites skip re-validation; they must equal the validated build."""
+
+    def test_finset_composite_matches_constructor(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            a, b, c = (rng.randint(0, 4) for _ in range(3))
+            if a and not b or b and not c:
+                continue  # no map from a nonempty set to an empty one
+            first = FinSetMap(a, b, tuple(rng.randrange(b) for _ in range(a)))
+            second = FinSetMap(b, c, tuple(rng.randrange(c) for _ in range(b)))
+            expected = FinSetMap(a, c, tuple(second.images[i] for i in first.images))
+            assert second.compose(first) == expected
+
+    def test_group_composite_matches_make(self):
+        rng = random.Random(6)
+        for _ in range(400):
+            a, b, c = (rng.choice(GROUPS) for _ in range(3))
+            first, second = rand_hom(rng, a, b), rand_hom(rng, b, c)
+            got = second.compose(first)
+            if b.n_gens:
+                expected = GroupHom.make(
+                    a, c, mat_mul([list(r) for r in second.matrix],
+                                  [list(r) for r in first.matrix])
+                )
+            else:  # through the trivial group: the zero map
+                expected = GroupHom.make(a, c, [[0] * a.n_gens] * c.n_gens)
+            assert got == expected, (a, b, c)
+            orders = c.gen_orders()
+            assert all(
+                0 <= x < orders[r] for r, row in enumerate(got.matrix) if orders[r]
+                for x in row
+            )
+
+    def test_compose_through_trivial_group(self):
+        z, zero = FgAbGroup(1), FgAbGroup(0)
+        into = GroupHom.make(z, zero, [])
+        out = GroupHom.make(zero, z, [[]])
+        assert out.compose(into) == GroupHom.make(z, z, [[0]])
+
+    def test_public_constructors_still_validate(self):
+        with pytest.raises(ValueError, match="not a map of finite sets"):
+            FinSetMap(2, 2, (0, 2))
+        with pytest.raises(ValueError, match="not a map of finite sets"):
+            FinSetMap(2, 2, (0,))
+        with pytest.raises(ValueError, match="not a map of finite sets"):
+            FinSetMap(1, 3, (-1,))
+        g = FgAbGroup(1, (2,))
+        with pytest.raises(ValueError, match="matrix shape"):
+            GroupHom.make(g, g, [[1, 0]])
+        with pytest.raises(ValueError, match="matrix shape"):
+            GroupHom.make(g, FgAbGroup(1), [[1, 0, 0]])
+        with pytest.raises(ValueError, match="divisibility chain"):
+            FgAbGroup(0, (4, 6))
+        with pytest.raises(ValueError, match=">= 2"):
+            FgAbGroup(1, (1,))
+
+    def test_non_composable_rejected(self):
+        with pytest.raises(ValueError, match="not composable"):
+            FinSetMap(2, 2, (0, 1)).compose(FinSetMap(1, 3, (2,)))
+        z, z2, z4 = FgAbGroup(1), FgAbGroup(0, (2,)), FgAbGroup(0, (4,))
+        for mid_first, mid_second in ((z2, z4), (z, z2), (z2, z)):
+            first = GroupHom.make(z, mid_first, [[1]])
+            second = GroupHom.make(mid_second, z, [[0]])
+            with pytest.raises(ValueError, match="not composable"):
+                second.compose(first)
+        # an equal but distinct group object composes
+        first = GroupHom.make(z, FgAbGroup(0, (4,)), [[3]])
+        assert GroupHom.make(z4, z4, [[2]]).compose(first).matrix == ((2,),)

@@ -1,5 +1,7 @@
 """Open-map checking, bisimulation search and verification."""
 
+import random
+
 import pytest
 
 from ditop import fixtures
@@ -23,9 +25,13 @@ from ditop.natsys import (
     refinement_span,
 )
 from ditop.algtop import FinSetMap
-from ditop.values import Valuation, Value, ValueMap
+from ditop.values import Valuation, Value, ValueMap, iso_candidates
 
-from helpers import bisimilar_by_scan, verify_bisimulation_by_scan
+from helpers import (
+    bisimilar_by_scan,
+    verify_bisimulation_by_gen_scan,
+    verify_bisimulation_by_scan,
+)
 
 PI0 = Valuation("pi0")
 HOM1 = Valuation("hom", 1)
@@ -101,9 +107,19 @@ class TestVerifyBisimulation:
         assert ok, why
 
 
+def assert_verifiers_agree(triples, f, g):
+    """The verifier names the first violation the generator scan names,
+    and reaches the verdict of the exhaustive scan; returns the verdict."""
+    verdict = verify_bisimulation(triples, f, g)
+    assert verify_bisimulation_by_gen_scan(triples, f, g) == verdict
+    assert verify_bisimulation_by_scan(triples, f, g)[0] == verdict[0]
+    return verdict
+
+
 class TestVerifierNegatives:
-    """Corrupted certificates of bisim FIX-A FIX-B: the indexed verifier
-    and the brute-force scan must both reject them, with one message."""
+    """Corrupted certificates of bisim FIX-A FIX-B: the verifier, the
+    brute-force generator scan and the exhaustive scan must all reject
+    them, and the first two with one message."""
 
     @pytest.fixture(scope="class")
     def certificate(self):
@@ -120,16 +136,16 @@ class TestVerifierNegatives:
 
     @staticmethod
     def assert_rejected_both_ways(triples, f, g):
-        """Rejected as given (left f) and converse (left g), by both verifiers."""
+        """Rejected as given (left f) and converse (left g), by all verifiers."""
         converse = tuple((j, eta.inverse(), i) for i, eta, j in triples)
         for rel, left, right in ((triples, f, g), (converse, g, f)):
-            verdict = verify_bisimulation(rel, left, right)
+            verdict = assert_verifiers_agree(rel, left, right)
             assert not verdict[0] and verdict[1].startswith("clause 2")
-            assert verify_bisimulation_by_scan(rel, left, right) == verdict
 
     def test_certificate_accepted_by_both(self, certificate):
         f, g, triples = certificate
         assert verify_bisimulation(triples, f, g) == (True, None)
+        assert verify_bisimulation_by_gen_scan(triples, f, g) == (True, None)
         assert verify_bisimulation_by_scan(triples, f, g) == (True, None)
 
     def test_dropped_triple_rejected(self, certificate):
@@ -155,10 +171,53 @@ class TestVerifierNegatives:
         verdicts = set()
         for k in range(first, first + 8):
             corrupted = triples[:k] + triples[k + 1 :]
-            verdict = verify_bisimulation(corrupted, f, g)
-            assert verify_bisimulation_by_scan(corrupted, f, g) == verdict, k
-            verdicts.add(verdict[0])
+            verdicts.add(assert_verifiers_agree(corrupted, f, g)[0])
         assert verdicts == {True, False}
+
+
+class TestGeneratorVerdicts:
+    """Challenging generators only is sound on functorial diagrams: on a
+    seeded sample of corrupted certificates the verifier reaches the
+    exhaustive scan's verdict every time."""
+
+    @staticmethod
+    def corruptions(f, g, n_drops, n_swaps, seed):
+        """n_drops single-triple drops, then n_swaps certificates with one
+        component replaced by another iso candidate of the same values."""
+        triples = bisimilar(f, g).bisimulation.triples
+        rng = random.Random(seed)
+        for k in sorted(rng.sample(range(len(triples)), n_drops)):
+            yield triples[:k] + triples[k + 1 :]
+        swappable = [
+            k
+            for k, (_, eta, _) in enumerate(triples)
+            if len(iso_candidates(eta.src, eta.tgt)[0]) >= 2
+        ]
+        for k in sorted(rng.sample(swappable, n_swaps)):
+            i, eta, j = triples[k]
+            other = rng.choice(
+                [c for c in iso_candidates(eta.src, eta.tgt)[0] if c != eta]
+            )
+            yield triples[:k] + ((i, other, j),) + triples[k + 1 :]
+
+    @pytest.mark.parametrize(
+        "left, right, val, n_drops, n_swaps",
+        [
+            ("FIX-A", "FIX-B", PI0, 4, 4),
+            ("FIX-EDGE", "FIX-EDGE-split", HOM1, 40, 0),
+            ("FIX-LOOPCELL", "FIX-LOOPCELL", HOM1, 8, 8),
+        ],
+    )
+    def test_same_verdict_as_exhaustive_scan(self, left, right, val, n_drops, n_swaps):
+        f = natural_system(fixtures.load(left), val)
+        g = natural_system(fixtures.load(right), val)
+        verdicts = []
+        for rel in self.corruptions(f, g, n_drops, n_swaps, seed=7):
+            verdict = verify_bisimulation(rel, f, g)[0]
+            assert verify_bisimulation_by_scan(rel, f, g)[0] == verdict
+            verdicts.append(verdict)
+        assert len(verdicts) == n_drops + n_swaps
+        assert set(verdicts) == {True, False}
 
 
 class TestBisimilar:

@@ -1,9 +1,11 @@
 """Valuations of trace-space models and isomorphism candidates."""
 
+import random
+
 import pytest
 
 from ditop import fixtures
-from ditop.algtop import FgAbGroup
+from ditop.algtop import FgAbGroup, FinSetMap, GroupHom, mat_mul
 from ditop.errors import NotFunctorial, ParseError
 from ditop.pathspace import trace_space
 from ditop.values import (
@@ -72,6 +74,60 @@ class TestSpaceMaps:
         sm = space_map_by_words(ts, ts, bad)
         with pytest.raises(NotFunctorial):
             Valuation("hom", 1).map(sm)
+
+
+class TestValueMapCompose:
+    """``ValueMap.compose`` builds the composite without re-validation."""
+
+    def test_composite_matches_validated_build(self):
+        rng = random.Random(8)
+        h1 = [FgAbGroup(0), FgAbGroup(1), FgAbGroup(0, (2,)), FgAbGroup(1, (6,))]
+        for _ in range(200):
+            vals = [
+                Value(n, (FgAbGroup(n), g))
+                for n, g in ((rng.randint(1, 3), rng.choice(h1)) for _ in range(3))
+            ]
+            maps = []
+            for a, b in zip(vals, vals[1:]):
+                comp = FinSetMap(
+                    a.components,
+                    b.components,
+                    tuple(rng.randrange(b.components) for _ in range(a.components)),
+                )
+                rows = [
+                    [rng.randint(-5, 5) for _ in range(a.groups[1].n_gens)]
+                    for _ in range(b.groups[1].n_gens)
+                ]
+                hom = GroupHom.make(a.groups[1], b.groups[1], rows)
+                maps.append(ValueMap(a, b, comp, (hom,)))
+            first, second = maps
+            src, mid, tgt = (v.groups[1] for v in vals)
+            rows = (
+                mat_mul([list(r) for r in second.homs[0].matrix],
+                        [list(r) for r in first.homs[0].matrix])
+                if mid.n_gens
+                else [[0] * src.n_gens] * tgt.n_gens
+            )
+            expected = ValueMap(
+                first.src,
+                second.tgt,
+                FinSetMap(
+                    first.src.components,
+                    second.tgt.components,
+                    tuple(second.comp.images[i] for i in first.comp.images),
+                ),
+                (GroupHom.make(src, tgt, rows),),
+            )
+            assert second.compose(first) == expected
+
+    def test_equal_values_compose_and_others_do_not(self):
+        a, b = Value(2), Value(2)
+        swap = ValueMap(a, a, FinSetMap(2, 2, (1, 0)))
+        assert ValueMap(b, b, FinSetMap(2, 2, (1, 0))).compose(swap) == ValueMap.identity(a)
+        with pytest.raises(ValueError, match="not composable"):
+            ValueMap.identity(Value(3)).compose(swap)
+        with pytest.raises(ValueError, match="not composable"):
+            ValueMap.identity(Value(2, (FgAbGroup(2), FgAbGroup(0)))).compose(swap)
 
 
 class TestIsoCandidates:
