@@ -45,6 +45,15 @@ def one_object_diagram(size: int) -> Diagram:
     )
 
 
+def assert_verifiers_agree(triples, f, g):
+    """The verifier names the first violation the generator scan names,
+    and reaches the verdict of the exhaustive scan; returns the verdict."""
+    verdict = verify_bisimulation(triples, f, g)
+    assert verify_bisimulation_by_gen_scan(triples, f, g) == verdict
+    assert verify_bisimulation_by_scan(triples, f, g)[0] == verdict[0]
+    return verdict
+
+
 class TestCheckOpen:
     def test_identity_open(self):
         d = natural_system(fixtures.load("FIX-B"), PI0)
@@ -96,6 +105,31 @@ class TestVerifyBisimulation:
         ok, why = verify_bisimulation(partial, d, d)
         assert not ok and "clause 1" in why
 
+    def test_maps_out_of_one_object_differ(self):
+        # x extends to [x,y] by the identity and to [w,x] by the swap, so a
+        # square along x -> [x,y] commutes only with the map into [x,y]
+        two = Value(2)
+        ident = ValueMap.identity(two)
+        swap = ValueMap(two, two, FinSetMap(2, 2, (1, 0)))
+        index = FactCat([("x",), ("y",), ("w",), ("x", "y"), ("w", "x")])
+        maps = {(t, t): ident for t in index.objects}
+        maps.update(
+            {
+                (("x",), ("x", "y")): ident,
+                (("x",), ("w", "x")): swap,
+                (("y",), ("x", "y")): ident,
+                (("w",), ("w", "x")): ident,
+            }
+        )
+        d = Diagram(index, {}, {t: two for t in index.objects}, maps)
+        diagonal = tuple((t, ident, t) for t in index.objects)
+        assert assert_verifiers_agree(diagonal, d, d) == (True, None)
+        twisted = ((("x",), swap, ("x",)),) + diagonal[1:]
+        assert assert_verifiers_agree(twisted, d, d) == (
+            False,
+            "clause 2 (forth): [x] ~ [x] stuck along [x] -> [x,y]",
+        )
+
     def test_roundtrip_from_search(self):
         x = fixtures.load("FIX-EDGE")
         y, _ = subdivide_edge(x, "d")
@@ -105,15 +139,6 @@ class TestVerifyBisimulation:
         assert res.verdict == "yes"
         ok, why = verify_bisimulation(res.bisimulation, f, g)
         assert ok, why
-
-
-def assert_verifiers_agree(triples, f, g):
-    """The verifier names the first violation the generator scan names,
-    and reaches the verdict of the exhaustive scan; returns the verdict."""
-    verdict = verify_bisimulation(triples, f, g)
-    assert verify_bisimulation_by_gen_scan(triples, f, g) == verdict
-    assert verify_bisimulation_by_scan(triples, f, g)[0] == verdict[0]
-    return verdict
 
 
 class TestVerifierNegatives:

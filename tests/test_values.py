@@ -123,7 +123,8 @@ class TestValueMapCompose:
     def test_equal_values_compose_and_others_do_not(self):
         a, b = Value(2), Value(2)
         swap = ValueMap(a, a, FinSetMap(2, 2, (1, 0)))
-        assert ValueMap(b, b, FinSetMap(2, 2, (1, 0))).compose(swap) == ValueMap.identity(a)
+        swap_b = ValueMap(b, b, FinSetMap(2, 2, (1, 0)))
+        assert swap_b.compose(swap) == ValueMap.identity(a)
         with pytest.raises(ValueError, match="not composable"):
             ValueMap.identity(Value(3)).compose(swap)
         with pytest.raises(ValueError, match="not composable"):
