@@ -6,8 +6,8 @@ arbitrary-precision integer arithmetic: Smith normal form with tracked
 unimodular transforms (and the inverse of the row transform), homology
 groups as rank plus invariant-factor torsion, adapted generator bases so
 that cycle classes come out as concrete integer vectors.  Maps between
-trace-space models are valued in ``values``, which pushes cycles through
-chain matrices and classifies them here.
+trace-space models are valued in ``values``, which pushes cycles along
+``SpaceMap.push`` (see ``pathspace``) and classifies them here.
 """
 
 from __future__ import annotations
@@ -109,6 +109,20 @@ class _SnfState:
         for row in self.v:
             row[i], row[j] = row[j], row[i]
 
+    def solve(self, b: list[int]):
+        """One integer x with M x = b for the reduced matrix M, or None."""
+        y = mat_vec(self.u, b)
+        q = [0] * self.cols
+        for i in range(self.rows):
+            d = self.a[i][i] if i < self.cols else 0
+            if d:
+                if y[i] % d:
+                    return None
+                q[i] = y[i] // d
+            elif y[i]:
+                return None
+        return mat_vec(self.v, q)
+
 
 def _snf(m: Matrix) -> _SnfState:
     st = _SnfState(m)
@@ -181,18 +195,7 @@ def solve_integer(m: Matrix, b: list[int]):
     """One integer solution x of M x = b, or None."""
     if not m or not m[0]:
         return None if any(b) else []
-    st = _snf(m)
-    y = mat_vec(st.u, b)
-    q = [0] * st.cols
-    for i in range(st.rows):
-        d = st.a[i][i] if i < st.cols else 0
-        if d:
-            if y[i] % d:
-                return None
-            q[i] = y[i] // d
-        elif y[i]:
-            return None
-    return mat_vec(st.v, q)
+    return _snf(m).solve(b)
 
 
 # -- value objects -------------------------------------------------------------
@@ -315,12 +318,11 @@ class GroupHom:
         m = self.src.n_gens
         orders = self.tgt.gen_orders()
         torsion_cols = [j for j, d in enumerate(orders) if d]
+        st = _snf([list(row) + [orders[tc] if i == tc else 0 for tc in torsion_cols]
+                   for i, row in enumerate(self.matrix)])
         cols_out = []
         for j in range(n):
-            target = [1 if i == j else 0 for i in range(n)]
-            aug = [list(row) + [orders[tc] if i == tc else 0 for tc in torsion_cols]
-                   for i, row in enumerate(self.matrix)]
-            sol = solve_integer(aug, target)
+            sol = st.solve([1 if i == j else 0 for i in range(n)])
             if sol is None:
                 raise ValueError("no preimage; inverse does not exist")
             cols_out.append(sol[:m])
@@ -431,18 +433,10 @@ class HomologyBasis:
         self.group = FgAbGroup(rank_free, torsion)
 
     def _kernel_coords(self, vec: list[int]) -> list[int]:
-        st = self._kernel_snf
-        y = mat_vec(st.u, vec)
-        q = [0] * st.cols
-        for i in range(st.rows):
-            d = st.a[i][i] if i < st.cols else 0
-            if d:
-                if y[i] % d:
-                    raise ValueError("vector not in the kernel lattice")
-                q[i] = y[i] // d
-            elif y[i]:
-                raise ValueError("vector not in the kernel lattice")
-        return mat_vec(st.v, q)
+        x = self._kernel_snf.solve(vec)
+        if x is None:
+            raise ValueError("vector not in the kernel lattice")
+        return x
 
     def generator_cycle(self, idx: int) -> list[int]:
         """A chain representing the idx-th kept generator."""

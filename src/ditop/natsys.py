@@ -8,14 +8,14 @@ either side.  A natural system assigns to each chain the valuation of
 the trace-space model between its first and last cell, and to each
 extension the induced map; the rules per extension shape are:
 
-* prepending the initial state of a positive-dimensional head cell glues
-  the canonical traversal route of that cell on the left (symmetrically
-  on the right);
-* prepending a positive-dimensional cell whose final state is the
-  current head vertex changes nothing (the reduced endpoints agree), so
-  the component is the literal identity;
 * extending a one-cell chain maps its isolated self-trace point to the
-  constant route at the shared reduced endpoint.
+  constant route at the shared reduced endpoint;
+* otherwise the map glues a path on with ``extend_map``: prepending the
+  initial state of a positive-dimensional head cell glues the canonical
+  traversal route of that cell on the left (symmetrically on the right),
+  and prepending a positive-dimensional cell whose final state is the
+  current head vertex glues the empty path, since the reduced endpoints
+  agree, so the map is the identity.
 
 The module also builds the two comparison morphisms the tool checks:
 the map induced by a cellular collapse, and the comparison of the
@@ -42,15 +42,7 @@ from .pathspace import (
     rep_path,
     trace_space,
 )
-from .values import (
-    Valuation,
-    Value,
-    ValueMap,
-    space_map_by_words,
-    space_map_collapse,
-    space_map_point_to,
-    space_map_same_base,
-)
+from .values import Valuation, Value, ValueMap
 
 Chain = tuple[str, ...]
 
@@ -235,27 +227,23 @@ class _SystemBuilder:
         x = self.x
         src = self.space(t)
         tgt = self.space(t2)
-        new = t2[0] if left else t2[-1]
         anchor = t[0] if left else t[-1]
         if x.dim(anchor) >= 1:
             # the new cell is the initial (final) state of the anchor cell
-            if len(t) == 1:
-                empty_idx = tgt.base.index[()][1]
-                return space_map_point_to(src, tgt, empty_idx)
-            side = "left" if left else "right"
-            sm = extend_map(src, side, rep_path(x, anchor), self.cap)
-            if sm.tgt != tgt:
-                raise NotFunctorial("extension lands in an unexpected complex")
-            return sm
-        # the anchor is a vertex, the new cell has positive dimension
-        if new == (t[-1] if left else t[0]):
-            raise NotFunctorial("extension would close a cycle")
+            path = rep_path(x, anchor)
+        else:
+            # the new cell has positive dimension and ends (starts) at the
+            # anchor vertex: the reduced endpoints do not move
+            if (t2[0] if left else t2[-1]) == (t[-1] if left else t[0]):
+                raise NotFunctorial("extension would close a cycle")
+            path = ()
         if len(t) == 1:
-            empty_idx = tgt.base.index[()][1]
-            return space_map_point_to(src, tgt, empty_idx)
-        if src.base is not tgt.base:
-            raise NotFunctorial("reduced endpoints changed under a silent extension")
-        return space_map_same_base(src, tgt)
+            # the self-trace point goes to the constant route
+            return SpaceMap(src, tgt, (), (), tgt.base.index[()][1])
+        sm = extend_map(src, "left" if left else "right", path, self.cap)
+        if sm.tgt != tgt:
+            raise NotFunctorial("extension lands in an unexpected complex")
+        return sm
 
     # -- assembly ------------------------------------------------------------
 
@@ -430,7 +418,7 @@ def crush_component(
     tgt: TraceSpaceValue,
 ) -> SpaceMap:
     if tgt.n_points() == 1 and tgt.base.dimension == 0:
-        return space_map_collapse(src, tgt)
+        return SpaceMap.collapse(src, tgt)
     # affixes translate between the reduced endpoints on both sides
     suffix: Chain = ()
     if x.dim(t[0]) >= 1:
@@ -454,7 +442,7 @@ def crush_component(
     if src.extra_point:
         middle = _trim_interior(y, m.image_chain(t[0]))
         extra_word = _spell_edges(y, middle[1:-1])
-    return space_map_by_words(src, tgt, word_fn, extra_word)
+    return SpaceMap.by_words(src, tgt, word_fn, extra_word)
 
 
 def crush_induced_map(
@@ -548,7 +536,7 @@ def coarsening_map(
         v_src = src.spaces[t]
         v_tgt = tgt.spaces[t2]
         if v_tgt.n_points() == 1 and v_tgt.base.dimension == 0:
-            components[t] = valuation.map(space_map_collapse(v_src, v_tgt))
+            components[t] = valuation.map(SpaceMap.collapse(v_src, v_tgt))
             continue
         # route letters still inside the image chain's end cells are
         # absorbed into the reduced endpoints on the coarse side
@@ -574,7 +562,7 @@ def coarsening_map(
                     group.append(letter)
             return tuple(out)
 
-        components[t] = valuation.map(space_map_by_words(v_src, v_tgt, word_fn))
+        components[t] = valuation.map(SpaceMap.by_words(v_src, v_tgt, word_fn))
     dm = DiagramMap(src, tgt, obj_map, components)
     dm.check_functorial()
     return dm

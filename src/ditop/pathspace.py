@@ -7,8 +7,10 @@ coordinate), and the two faces of a letter replace it by the lower or
 upper boundary route.  ``trace_space`` packages the reduction of a
 cell-to-cell trace space to such a vertex-to-vertex path complex, with an
 extra isolated point for the self-trace of a single cell.  ``SpaceMap`` is
-the one description of maps between these models; ``extend_map`` builds
-the map that glues an edge-path onto every route.
+the one description of maps between these models and holds their rules:
+``by_words`` and ``collapse`` build maps, ``extend_map`` glues an
+edge-path onto every route, ``check_faces`` and ``check_chain_map``
+validate a map, and ``push`` carries chains along it.
 
 Directed paths themselves are pairs (cell word, PL clock); the module
 computes their unique discrete trace with breakpoints and the unit-speed
@@ -30,6 +32,7 @@ from .errors import (
     NoTrace,
     NotCubical,
     NotExecutionPath,
+    NotFunctorial,
     ParseError,
     UnknownCell,
 )
@@ -68,7 +71,7 @@ class PathComplex:
         }
         self._faces: list[Optional[tuple]] = [None] * (dim + 1)
         # chain complex under "chain", components under "pi0", homology
-        # bases under their degree
+        # bases under their degree, values under ("value", label, extra)
         self.homology_cache: dict = {}
 
     # -- structure ---------------------------------------------------------
@@ -274,11 +277,62 @@ class SpaceMap:
     cube_images: tuple[tuple[Optional[int], ...], ...]
     extra_image: Optional[int]
 
-    def check_faces(self):
-        """Raise NotCubical unless the cube images commute with all faces.
+    @classmethod
+    def by_words(
+        cls, src: TraceSpaceValue, tgt: TraceSpaceValue, word_fn, extra_word=None
+    ) -> "SpaceMap":
+        """The map rewriting every route word by ``word_fn``.
 
-        Only for maps without degenerate cubes.
+        A k-cube whose image keeps fewer than k square letters
+        degenerates (records None); an image with more letters, or one
+        that is no cube of the target, raises NotCubical.
+        ``extra_word`` is the target vertex word hit by the source's
+        extra point.
         """
+        index = tgt.base.index
+        cells2 = tgt.base.complex.cells2
+        levels = []
+        for k, level in enumerate(src.base.cubes):
+            images = []
+            for w in level:
+                image = word_fn(w)
+                kk, idx = index.get(image, (None, None))
+                if kk is None:
+                    kk = sum(1 for c in image if c in cells2)
+                    if kk >= k:
+                        raise NotCubical(f"image word {image} missing from target")
+                if kk == k:
+                    images.append(idx)
+                elif kk < k:
+                    images.append(None)
+                else:
+                    raise NotCubical(f"image of a {k}-cube has degree {kk}")
+            levels.append(tuple(images))
+        extra_image = None
+        if src.extra_point:
+            if extra_word is None:
+                raise ValueError("source extra point needs an image word")
+            if index.get(extra_word, (None,))[0] != 0:
+                raise NotCubical(f"extra image {extra_word} is not a target vertex")
+            extra_image = index[extra_word][1]
+        return cls(src, tgt, levels[0], tuple(levels[1:]), extra_image)
+
+    @classmethod
+    def collapse(cls, src: TraceSpaceValue, tgt: TraceSpaceValue) -> "SpaceMap":
+        """Map everything to the single element of a one-point target."""
+        if tgt.n_points() != 1 or tgt.base.dimension != 0:
+            raise ValueError("target is not a one-point model")
+        return cls(
+            src,
+            tgt,
+            (0,) * len(src.base.vertices),
+            tuple((None,) * len(level) for level in src.base.cubes[1:]),
+            0 if src.extra_point else None,
+        )
+
+    def check_faces(self):
+        """Raise NotCubical unless every cube has a cube image and the
+        images commute with all faces."""
         src, tgt = self.src.base, self.tgt.base
         levels = (self.vertex_images,) + self.cube_images
         for k in range(1, src.dimension + 1):
@@ -286,30 +340,55 @@ class SpaceMap:
                 raise NotCubical("target has no cubes at this degree")
             tfaces = tgt.faces(k) if k <= tgt.dimension else ()
             for i, row in enumerate(src.faces(k)):
+                if levels[k][i] is None:
+                    raise NotCubical(f"cube {i} of degree {k} degenerates")
                 want = tuple((levels[k - 1][i0], levels[k - 1][i1]) for i0, i1 in row)
                 if tfaces[levels[k][i]] != want:
                     raise NotCubical(
                         f"face maps do not commute at degree {k}, cube {i}"
                     )
 
+    def check_chain_map(self):
+        """Raise NotFunctorial unless the map, degenerate cubes sent to
+        zero, commutes with the boundary cube by cube: otherwise the word
+        map has no cubical approximation we support."""
+        src, tgt = self.src.base, self.tgt.base
+        nv_tgt = len(tgt.vertices)
+        for element in self.vertex_images:
+            if element >= nv_tgt:
+                raise NotFunctorial("base vertex sent to the extra point")
+        levels = (self.vertex_images,) + self.cube_images
+        for k in range(1, src.dimension + 1):
+            identity = range(tgt.n_cubes(k - 1))
+            for row, img in zip(src.faces(k), levels[k]):
+                want = {} if img is None else _boundary(tgt.faces(k)[img], identity)
+                if _boundary(row, levels[k - 1]) != want:
+                    raise NotFunctorial(
+                        f"no chain-level extension at degree {k}: collapse is uneven"
+                    )
 
-def _word_map(src: TraceSpaceValue, tgt: TraceSpaceValue, word_fn) -> SpaceMap:
-    """The map sending every route word to a target word of equal degree."""
-    levels = []
-    for k, level in enumerate(src.base.cubes):
-        images = []
-        for w in level:
-            image = word_fn(w)
-            if image not in tgt.base.index:
-                raise NotCubical(f"image word {image} missing from target")
-            kk, idx = tgt.base.index[image]
-            if kk != k:
-                raise NotCubical(f"image of a {k}-cube has degree {kk}")
-            images.append(idx)
-        levels.append(tuple(images))
-    sm = SpaceMap(src, tgt, levels[0], tuple(levels[1:]), None)
-    sm.check_faces()
-    return sm
+    def push(self, k: int, chain: list[int]) -> list[int]:
+        """Image of a k-chain (k >= 1) of the source base; degenerate
+        cubes go to zero."""
+        out = [0] * self.tgt.base.n_cubes(k)
+        for c, img in zip(chain, self.cube_images[k - 1]):
+            if c and img is not None:
+                out[img] += c
+        return out
+
+
+def _boundary(row, images) -> dict[int, int]:
+    """Nonzero coefficients of sum_j (-1)^j (d_j^0 - d_j^1) of one cube
+    with face indices ``row``, each face index sent through ``images``
+    (None drops the face)."""
+    acc: dict[int, int] = {}
+    for j, (i0, i1) in enumerate(row, start=1):
+        sign = -1 if j % 2 else 1
+        for idx, s in ((i0, sign), (i1, -sign)):
+            img = images[idx]
+            if img is not None:
+                acc[img] = acc.get(img, 0) + s
+    return {key: v for key, v in acc.items() if v}
 
 
 def extend_map(
@@ -319,6 +398,7 @@ def extend_map(
 
     ``side`` is "left" (new routes are path then w, so the path must end
     at the base's alpha) or "right" (w then path, starting at its beta).
+    The empty path gives the identity of v.
     """
     p = v.base
     x = p.complex
@@ -328,17 +408,27 @@ def extend_map(
         raise ValueError("source extra point needs an explicit image")
     path = tuple(path)
     if not path:
-        return _word_map(v, v, lambda w: w)
+        return SpaceMap(
+            v,
+            v,
+            tuple(range(len(p.vertices))),
+            tuple(tuple(range(len(level))) for level in p.cubes[1:]),
+            None,
+        )
     start, end = x.path_endpoints(path)
     if side == "left":
         if end != p.alpha:
             raise EndpointMismatch(f"path ends at {end}, complex starts at {p.alpha}")
         target = path_complex(x, start, p.beta, cap)
-        return _word_map(v, TraceSpaceValue(target, False), lambda w: path + w)
-    if start != p.beta:
-        raise EndpointMismatch(f"path starts at {start}, complex ends at {p.beta}")
-    target = path_complex(x, p.alpha, end, cap)
-    return _word_map(v, TraceSpaceValue(target, False), lambda w: w + path)
+        word_fn = lambda w: path + w
+    else:
+        if start != p.beta:
+            raise EndpointMismatch(f"path starts at {start}, complex ends at {p.beta}")
+        target = path_complex(x, p.alpha, end, cap)
+        word_fn = lambda w: w + path
+    sm = SpaceMap.by_words(v, TraceSpaceValue(target, False), word_fn)
+    sm.check_faces()
+    return sm
 
 
 def rep_path(x: GlobularComplex, cell: str) -> tuple[str, ...]:

@@ -4,6 +4,8 @@ across the test suite."""
 from fractions import Fraction
 import random
 
+from ditop.algtop import mat_zero
+from ditop.errors import NotFunctorial
 from ditop.pathspace import TraceSpaceValue, path_complex
 from ditop.reparam import MoorePathPL, PLMap
 
@@ -112,6 +114,56 @@ def random_directed_path(rng, x, surjective=None):
 def routes(x, alpha, beta):
     """The route complex alpha -> beta as a trace-space model."""
     return TraceSpaceValue(path_complex(x, alpha, beta), extra_point=False)
+
+
+def chain_matrices(sm):
+    """Oracle for ``SpaceMap.check_chain_map`` and ``SpaceMap.push``: the
+    map as dense integer matrices, one per degree, degenerate cubes sent to
+    zero, after the old cube-by-cube check of boundary commutation."""
+    src_p, tgt_p = sm.src.base, sm.tgt.base
+    nv_tgt = len(tgt_p.vertices)
+    images: list = [list(sm.vertex_images)]
+    for element in sm.vertex_images:
+        if element >= nv_tgt:
+            raise NotFunctorial("base vertex sent to the extra point")
+    images += [list(level) for level in sm.cube_images]
+
+    def boundary_of_image(k, img):
+        acc: dict[int, int] = {}
+        if img is not None and k <= tgt_p.dimension:
+            for j, (i0, i1) in enumerate(tgt_p.faces(k)[img], start=1):
+                sign = -1 if j % 2 else 1
+                acc[i0] = acc.get(i0, 0) + sign
+                acc[i1] = acc.get(i1, 0) - sign
+        return {key: v for key, v in acc.items() if v}
+
+    for k in range(1, src_p.dimension + 1):
+        src_faces = src_p.faces(k)
+        for i, img in enumerate(images[k]):
+            acc: dict[int, int] = {}
+            for j, (i0, i1) in enumerate(src_faces[i], start=1):
+                sign = -1 if j % 2 else 1
+                for idx, s in ((i0, sign), (i1, -sign)):
+                    t_img = images[k - 1][idx]
+                    if t_img is not None:
+                        acc[t_img] = acc.get(t_img, 0) + s
+            acc = {key: v for key, v in acc.items() if v}
+            if acc != boundary_of_image(k, img):
+                raise NotFunctorial(
+                    f"no chain-level extension at degree {k}: collapse is uneven"
+                )
+    mats = []
+    m0 = mat_zero(nv_tgt, len(src_p.vertices))
+    for i, element in enumerate(sm.vertex_images):
+        m0[element][i] = 1
+    mats.append(m0)
+    for k in range(1, src_p.dimension + 1):
+        mat = mat_zero(tgt_p.n_cubes(k), src_p.n_cubes(k))
+        for i, img in enumerate(images[k]):
+            if img is not None:
+                mat[img][i] = 1
+        mats.append(mat)
+    return mats
 
 
 # -- oracles for the indexed factorization poset and verifier ------------------

@@ -7,18 +7,23 @@ from fractions import Fraction
 import pytest
 
 from ditop import fixtures
+from ditop.algtop import homology_basis, mat_vec
 from ditop.errors import (
     EndpointMismatch,
     InvalidFaces,
     NoTrace,
     NotCubical,
     NotExecutionPath,
+    NotFunctorial,
     NotLoopFree,
     UnknownState,
 )
 from ditop.gcomplex import Cell2, Edge, GlobularComplex
+from ditop.natsys import _SystemBuilder, crush_component, map_chain_through
 from ditop.pathspace import (
+    DEFAULT_CAP,
     DirectedPathPL,
+    SpaceMap,
     concat_paths,
     discrete_trace,
     enumerate_vertex_paths,
@@ -32,8 +37,9 @@ from ditop.pathspace import (
     trace_space,
 )
 from ditop.reparam import PLMap, is_regular, MoorePathPL
+from ditop.values import Valuation, ValueMap
 
-from helpers import rand_monotone, routes
+from helpers import chain_matrices, rand_monotone, routes
 
 F = Fraction
 
@@ -215,6 +221,181 @@ class TestExtendMap:
         swapped = replace(m, cube_images=(tuple(level),) + m.cube_images[1:])
         with pytest.raises(NotCubical, match="face maps do not commute"):
             swapped.check_faces()
+
+
+def _uneven(w):
+    """Send FIX-A's filled track to nothing but keep its faces apart."""
+    return tuple(c for c in w if c != "c2") or ("e",)
+
+
+def _even(w):
+    """Collapse FIX-A's filled track onto its lower route d1.d2.d3."""
+    return ("d1", "d2", "d3") if w in (("c2",), ("e",)) else w
+
+
+class TestSpaceMaps:
+    def test_same_base_identity(self):
+        x = fixtures.load("FIX-B")
+        ts = trace_space(x, "v0", "v3")
+        sm = extend_map(ts, "left", ())
+        m = Valuation("hom", 1).map(sm)
+        assert m == ValueMap.identity(m.src)
+
+    def test_collapse(self):
+        x = fixtures.load("FIX-A")
+        big = trace_space(x, "v0", "v3")
+        point = trace_space(x, "c2", "c2")
+        m = Valuation("pi0").map(SpaceMap.collapse(big, point))
+        assert m.tgt.components == 1
+        assert m.comp.images == (0, 0)
+
+    def test_word_map_degenerate_needs_even_collapse(self):
+        # collapsing only one side of a filled track is not a chain map
+        x = fixtures.load("FIX-A")
+        ts = trace_space(x, "v0", "v3")
+        sm = SpaceMap.by_words(ts, ts, _uneven)
+        with pytest.raises(NotFunctorial):
+            Valuation("hom", 1).map(sm)
+
+    def test_by_words_degenerates_a_cube_that_loses_a_letter(self):
+        ts = trace_space(fixtures.load("FIX-A"), "v0", "v3")
+        sm = SpaceMap.by_words(ts, ts, _even)
+        assert sm.vertex_images == (0, 1, 0)
+        assert sm.cube_images == ((None,),)
+        sm.check_chain_map()
+        assert sm.push(1, [3]) == [0]
+
+    def test_check_faces_rejects_a_degenerate_cube(self):
+        ts = trace_space(fixtures.load("FIX-A"), "v0", "v3")
+        with pytest.raises(NotCubical, match="degenerates"):
+            SpaceMap.by_words(ts, ts, _even).check_faces()
+
+    @pytest.mark.parametrize(
+        "word_fn, message",
+        [
+            (lambda w: ("s",), "image of a 0-cube has degree 1"),
+            (lambda w: w + ("g",), "missing from target"),
+        ],
+    )
+    def test_by_words_rejects_bad_vertex_images(self, word_fn, message):
+        ts = trace_space(fixtures.load("FIX-LOOPCELL"), "u0", "u1")
+        with pytest.raises(NotCubical, match=message):
+            SpaceMap.by_words(ts, ts, word_fn)
+
+    def test_by_words_rejects_a_square_that_gains_a_letter(self):
+        ts = trace_space(two_loops(), "u0", "u2")
+        with pytest.raises(NotCubical, match="image of a 1-cube has degree 2"):
+            SpaceMap.by_words(ts, ts, lambda w: ("s1", "s2") if "s1" in w else w)
+
+    def test_by_words_places_the_extra_point(self):
+        x = fixtures.load("FIX-A")
+        point = trace_space(x, "c2", "c2")
+        ts = trace_space(x, "v0", "v3")
+        sm = SpaceMap.by_words(point, ts, lambda w: w, extra_word=("e",))
+        assert sm.extra_image == ts.base.index[("e",)][1] == 2
+        assert Valuation("pi0").map(sm).comp.images == (0,)  # e lies on c2
+        with pytest.raises(ValueError, match="needs an image word"):
+            SpaceMap.by_words(point, ts, lambda w: w)
+        with pytest.raises(NotCubical, match="not a target vertex"):
+            SpaceMap.by_words(point, ts, lambda w: w, extra_word=("c2",))
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the class and message of the NotFunctorial it raised."""
+    try:
+        return fn(*args)
+    except NotFunctorial as err:
+        return (type(err), str(err))
+
+
+def two_loops():
+    """Two loop cells in a row between tails, so that route complexes carry
+    H1 and H2 (the gallery's generator maps have none in their sources)."""
+    return GlobularComplex(
+        "LOOPS",
+        ["p", "u0", "u1", "u2", "q"],
+        [
+            Edge("a", "p", "u0"),
+            Edge("g1", "u0", "u1"),
+            Edge("g2", "u1", "u2"),
+            Edge("b", "u2", "q"),
+        ],
+        [Cell2("s1", ("g1",), ("g1",)), Cell2("s2", ("g2",), ("g2",))],
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_maps():
+    """Every generator map of every gallery fixture and of ``two_loops``
+    under hom:2, every component of the crush map FIX-A -> FIX-B, and
+    FIX-A's uneven collapse."""
+    hom2 = Valuation("hom", 2)
+    out = []
+    for x in [fixtures.load(name) for name in fixtures.GALLERY] + [two_loops()]:
+        b = _SystemBuilder(x, hom2, DEFAULT_CAP)
+        out += [b.gen_space_map(s, t) for s, t in b.index.generators()]
+    x, y = fixtures.load("FIX-A"), fixtures.load("FIX-B")
+    bx = _SystemBuilder(x, hom2, DEFAULT_CAP)
+    by = _SystemBuilder(y, hom2, DEFAULT_CAP)
+    m = fixtures.crush_a_to_b()
+    for t in bx.index.objects:
+        t2 = map_chain_through(m, x, y, t)
+        out.append(crush_component(m, x, y, t, t2, bx.space(t), by.space(t2)))
+    ts = trace_space(x, "v0", "v3")
+    out.append(SpaceMap.by_words(ts, ts, _uneven))
+    return out
+
+
+def _perturbed(sm):
+    """Nearby maps: top cube dropped, two degree-1 images swapped, the
+    first vertex sent past the target's base vertices."""
+    out = []
+    if sm.cube_images and sm.cube_images[-1]:
+        top = (None,) + sm.cube_images[-1][1:]
+        out.append(replace(sm, cube_images=sm.cube_images[:-1] + (top,)))
+    if sm.cube_images and len(set(sm.cube_images[0])) > 1:
+        level = list(sm.cube_images[0])
+        j = next(j for j, img in enumerate(level) if img != level[0])
+        level[0], level[j] = level[j], level[0]
+        out.append(replace(sm, cube_images=(tuple(level),) + sm.cube_images[1:]))
+    if sm.vertex_images:
+        far = (len(sm.tgt.base.vertices),) + sm.vertex_images[1:]
+        out.append(replace(sm, vertex_images=far))
+    return out
+
+
+class TestSpaceMapAgainstMatrices:
+    """``check_chain_map`` and ``push`` against the dense chain matrices
+    that ``Valuation.map`` used to build, kept in ``helpers.chain_matrices``."""
+
+    def test_push_matches_matrices(self, oracle_maps):
+        cycles = 0
+        for sm in oracle_maps:
+            mats = _outcome(chain_matrices, sm)
+            if isinstance(mats, tuple):
+                continue
+            for k in range(1, len(mats)):
+                basis = homology_basis(sm.src.base, k)
+                chains = [basis.generator_cycle(i) for i in range(basis.group.n_gens)]
+                cycles += len(chains)
+                n = sm.src.base.n_cubes(k)
+                chains += [[int(i == j) for j in range(n)] for i in range(n)]
+                chains.append([2 * i - n for i in range(n)])
+                for z in chains:
+                    assert sm.push(k, z) == mat_vec(mats[k], z)
+        assert cycles > 20
+
+    def test_check_raises_where_the_old_check_raised(self, oracle_maps):
+        raised = 0
+        for sm in oracle_maps + [p for sm in oracle_maps for p in _perturbed(sm)]:
+            old = _outcome(chain_matrices, sm)
+            new = _outcome(sm.check_chain_map)
+            if isinstance(old, tuple):
+                assert new == old
+                raised += 1
+            else:
+                assert new is None
+        assert raised > 50
 
 
 def two_squares():

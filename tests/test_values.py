@@ -6,18 +6,10 @@ import pytest
 
 from ditop import fixtures
 from ditop.algtop import FgAbGroup, FinSetMap, GroupHom, mat_mul
-from ditop.errors import NotFunctorial, ParseError
-from ditop.pathspace import trace_space
-from ditop.values import (
-    Valuation,
-    Value,
-    ValueMap,
-    iso_candidates,
-    parse_valuation,
-    space_map_by_words,
-    space_map_collapse,
-    space_map_same_base,
-)
+from ditop.errors import ParseError
+from ditop.natsys import natural_system
+from ditop.pathspace import TraceSpaceValue, trace_space
+from ditop.values import Valuation, Value, ValueMap, iso_candidates, parse_valuation
 
 
 class TestValuation:
@@ -41,39 +33,21 @@ class TestValuation:
         assert v.groups == (FgAbGroup(1), FgAbGroup(1))
         assert v.describe() == "H0 = Z^1, H1 = Z^1"
 
+    def test_value_shared_per_model_and_valuation(self):
+        x = fixtures.load("FIX-A")
+        ts = trace_space(x, "v0", "v3")
+        hom1 = Valuation("hom", 1)
+        assert hom1.value(ts) is hom1.value(TraceSpaceValue(ts.base, False))
+        with_point = hom1.value(TraceSpaceValue(ts.base, True))
+        assert with_point.components == hom1.value(ts).components + 1
+        assert Valuation("pi0").value(ts) == Value(2) != hom1.value(ts)
+        d = natural_system(x, hom1)
+        for (a, b), m in d.maps.items():
+            assert m.src is d.values[a] and m.tgt is d.values[b]
+
     def test_describe_pi0(self):
         assert Value(1).describe() == "1 component"
         assert Value(2).describe() == "2 components"
-
-
-class TestSpaceMaps:
-    def test_same_base_identity(self):
-        x = fixtures.load("FIX-B")
-        ts = trace_space(x, "v0", "v3")
-        sm = space_map_same_base(ts, ts)
-        m = Valuation("hom", 1).map(sm)
-        assert m == ValueMap.identity(m.src)
-
-    def test_collapse(self):
-        x = fixtures.load("FIX-A")
-        big = trace_space(x, "v0", "v3")
-        point = trace_space(x, "c2", "c2")
-        m = Valuation("pi0").map(space_map_collapse(big, point))
-        assert m.tgt.components == 1
-        assert m.comp.images == (0, 0)
-
-    def test_word_map_degenerate_needs_even_collapse(self):
-        # collapsing only one side of a filled track is not a chain map
-        x = fixtures.load("FIX-A")
-        ts = trace_space(x, "v0", "v3")
-
-        def bad(w):
-            # send the filled track to nothing but keep its faces apart
-            return tuple(c for c in w if c != "c2") or ("e",)
-
-        sm = space_map_by_words(ts, ts, bad)
-        with pytest.raises(NotFunctorial):
-            Valuation("hom", 1).map(sm)
 
 
 class TestValueMapCompose:
