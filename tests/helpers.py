@@ -2,12 +2,22 @@
 across the test suite."""
 
 from fractions import Fraction
+from pathlib import Path
 import random
 
 from ditop.algtop import mat_zero
 from ditop.errors import NotFunctorial
+from ditop.gcomplex import parse_gcx
 from ditop.pathspace import TraceSpaceValue, path_complex
 from ditop.reparam import MoorePathPL, PLMap
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def load_data(name: str):
+    """The complex of ``tests/data/<name>.gcx``."""
+    return parse_gcx((DATA / f"{name}.gcx").read_text(), name)
 
 
 def rand_frac(rng: random.Random, den_max=12, lo=0, hi=1) -> Fraction:

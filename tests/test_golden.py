@@ -2,9 +2,11 @@
 
 The digests pin the natural-system exports, the openness reports and the
 bisimulation reports (certificates and refutations) of the bundled
-gallery, so a refactor of the map, valuation, index or bisimulation
-layers cannot change a report unnoticed.  A digest covers the
-exit code, a newline and the whole stdout.
+gallery, and route-complex reports with their homology, so a refactor of
+the homology, map, valuation, index or bisimulation layers cannot change
+a report unnoticed.  A digest covers the exit code, a newline and the
+whole stdout.  A complex named like a file in ``tests/data`` (LOOPS) is
+read from there.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import hashlib
 import pytest
 
 from ditop.cli import main
+from helpers import DATA
 
 GOLDEN = {
     "natsys FIX-EDGE --val pi0": "3514121edc16eb2ac9a37bcbd6c5bb09577f2a8aed37d561f1bba2122cafd541",
@@ -57,12 +60,27 @@ GOLDEN = {
     "bisim FIX-HOLLOW FIX-SQUARE --val hom:1": "14ded048acd57431b74d4095a5246baa75fcf4c432b4814862b2f792d4c3f678",
     "bisim FIX-A FIX-TWOCELLS": "01b3abc6539ee1f32e3bc2077d1f668aef4bf2c32bddc532d4478c6b89323d95",
     "bisim FIX-TWOCELLS FIX-A --val hom:1": "be9bfaffe25f0954a83b950a64db5ea1a5e72d776629de04b2c87a6919246b93",
+    # generator maps that carry nonzero H1 matrices
+    "natsys LOOPS --val hom:2": "62e59b024eeee1e2bd9fb0f6c3c63c67cbde2b23c265bdc0236a5f1789761146",
+    "paths LOOPS p q": "ec1de62b096aacdb3b8d104fbfa5ac5214ba237dfb16a68a80cfe4c29ab3e593",
+    "paths LOOPS p q --cubes": "f9e98df97e81b08ae6617decefcebb14bd3fedf2f6b4951a95e314380bdff5ad",
+    "paths FIX-LOOPCELL u0 u1": "f33cf8d3a10543ac39d6d6e61bde8291c2519d395c72795885619ffdd103f8ee",
+    "paths FIX-LOOPCELL u0 u1 --cubes": "beb7915b6001e48333ae4420ebc29d203e2a8aedcf473008ed990b82ba07f973",
+    "paths FIX-TWOCELLS x0 x2": "ff475b277f97e013b01000f9718e36a4e94e321077bb5fb415b759fbe29a4925",
+    "paths FIX-TWOCELLS x0 x2 --cubes": "7de666124247c107d864d3c46a5e34a526f81ca4e6cc8e51afd45962064d5986",
+    "paths FIX-B v0 v3": "360db76aeee0930fda476d59a117b8410bed109580a9eb404e21fbc75f3db410",
+    "paths FIX-B v0 v3 --cubes": "1319dea34e82c88a82bd360da4c9b8df68a430efc5b5e30589b712e85bfcd823",
 }
+
+
+def _resolve(word: str) -> str:
+    path = DATA / f"{word}.gcx"
+    return str(path) if path.exists() else word
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_report_digest(argv, capsys):
-    code = main(argv.split())
+    code = main([_resolve(w) for w in argv.split()])
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     assert digest == GOLDEN[argv]

@@ -39,7 +39,7 @@ from ditop.pathspace import (
 from ditop.reparam import PLMap, is_regular, MoorePathPL
 from ditop.values import Valuation, ValueMap
 
-from helpers import chain_matrices, rand_monotone, routes
+from helpers import chain_matrices, load_data, rand_monotone, routes
 
 F = Fraction
 
@@ -311,17 +311,7 @@ def _outcome(fn, *args):
 def two_loops():
     """Two loop cells in a row between tails, so that route complexes carry
     H1 and H2 (the gallery's generator maps have none in their sources)."""
-    return GlobularComplex(
-        "LOOPS",
-        ["p", "u0", "u1", "u2", "q"],
-        [
-            Edge("a", "p", "u0"),
-            Edge("g1", "u0", "u1"),
-            Edge("g2", "u1", "u2"),
-            Edge("b", "u2", "q"),
-        ],
-        [Cell2("s1", ("g1",), ("g1",)), Cell2("s2", ("g2",), ("g2",))],
-    )
+    return load_data("LOOPS")
 
 
 @pytest.fixture(scope="module")
