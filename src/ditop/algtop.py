@@ -3,11 +3,15 @@
 Chains are free Z-modules on the cubes of a ``PathComplex``, with the
 alternating-sign boundary sum_j (-1)^j (d_j^0 - d_j^1).  Everything is
 arbitrary-precision integer arithmetic: Smith normal form with tracked
-unimodular transforms (and the inverse of the row transform), homology
-groups as rank plus invariant-factor torsion, adapted generator bases so
-that cycle classes come out as concrete integer vectors.  Maps between
-trace-space models are valued in ``values``, which pushes cycles along
-``SpaceMap.push`` (see ``pathspace``) and classifies them here.
+unimodular transforms and their inverses, homology groups as rank plus
+invariant-factor torsion, adapted generator bases so that cycle classes
+come out as concrete integer vectors.  H_k takes two SNFs: one of d_k
+gives the cycles and, through its inverse column transform, the
+coordinates of any chain in them; one of the boundaries in those
+coordinates gives the quotient (Kaczynski, Mischaikow & Mrozek,
+*Computational Homology*, 2004).  Maps between trace-space models are
+valued in ``values``, which pushes cycles along ``SpaceMap.push`` (see
+``pathspace``) and classifies them here.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def mat_copy(a) -> Matrix:
 
 
 class _SnfState:
-    """Mutable SNF workspace tracking U, its inverse and V."""
+    """Mutable SNF workspace tracking U, V and their inverses."""
 
     def __init__(self, m: Matrix):
         self.a = mat_copy(m)
@@ -65,6 +69,7 @@ class _SnfState:
         self.u = mat_identity(self.rows)
         self.u_inv = mat_identity(self.rows)
         self.v = mat_identity(self.cols)
+        self.v_inv = mat_identity(self.cols)
 
     # row ops act on the left: A <- E A, U <- E U, U_inv <- U_inv E^{-1}
     def row_add(self, i, j, q):
@@ -92,7 +97,7 @@ class _SnfState:
         for row in self.u_inv:
             row[i] = -row[i]
 
-    # column ops act on the right: A <- A E, V <- V E
+    # column ops act on the right: A <- A E, V <- V E, V_inv <- E^{-1} V_inv
     def col_add(self, i, j, q):
         if not q:
             return
@@ -100,6 +105,8 @@ class _SnfState:
             row[i] += q * row[j]
         for row in self.v:
             row[i] += q * row[j]
+        v_inv = self.v_inv
+        v_inv[j] = [x - q * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def col_swap(self, i, j):
         if i == j:
@@ -108,20 +115,7 @@ class _SnfState:
             row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
-
-    def solve(self, b: list[int]):
-        """One integer x with M x = b for the reduced matrix M, or None."""
-        y = mat_vec(self.u, b)
-        q = [0] * self.cols
-        for i in range(self.rows):
-            d = self.a[i][i] if i < self.cols else 0
-            if d:
-                if y[i] % d:
-                    return None
-                q[i] = y[i] // d
-            elif y[i]:
-                return None
-        return mat_vec(self.v, q)
+        self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
 
 
 def _snf(m: Matrix) -> _SnfState:
@@ -189,13 +183,6 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     m = mat_copy(m)
     st = _snf(m)
     return st.a, st.u, st.v
-
-
-def solve_integer(m: Matrix, b: list[int]):
-    """One integer solution x of M x = b, or None."""
-    if not m or not m[0]:
-        return None if any(b) else []
-    return _snf(m).solve(b)
 
 
 # -- value objects -------------------------------------------------------------
@@ -286,47 +273,33 @@ class GroupHom:
         )
         return GroupHom(first.src, self.tgt, rows)
 
+    def _onto_snf(self):
+        """The SNF of M = [matrix | target torsion relations] if the map is
+        onto, that is if all n invariant factors of M are 1; else None."""
+        orders = self.tgt.gen_orders()
+        rel = [j for j, d in enumerate(orders) if d]
+        st = _snf([
+            list(row) + [orders[j] if i == j else 0 for j in rel]
+            for i, row in enumerate(self.matrix)
+        ])
+        onto = all(i < st.cols and st.a[i][i] == 1 for i in range(st.rows))
+        return st if onto else None
+
     def is_surjective(self) -> bool:
-        cols = [list(r) for r in self.matrix]
-        n = self.tgt.n_gens
-        if n == 0:
-            return True
-        aug = [list(row) for row in cols]
-        for j, d in enumerate(self.tgt.gen_orders()):
-            if d:
-                col = [d if i == j else 0 for i in range(n)]
-                for i in range(n):
-                    aug[i].append(col[i])
-        if not aug[0]:
-            return False
-        d_mat, _, _ = smith_normal_form(aug)
-        invariants = [d_mat[i][i] for i in range(min(len(aug), len(aug[0])))]
-        return sum(1 for v in invariants if v == 1) == n
+        return self._onto_snf() is not None
 
     def is_iso(self) -> bool:
         """Exact: equal invariants plus surjectivity."""
-        return (
-            self.src.rank == self.tgt.rank
-            and self.src.torsion == self.tgt.torsion
-            and self.is_surjective()
-        )
+        return self.src == self.tgt and self.is_surjective()
 
     def inverse(self) -> "GroupHom":
-        if not self.is_iso():
+        """From D = U M V = [I | 0]: M V[:, :n] U = I, so the first m rows
+        of V[:, :n] U map each target generator to a preimage."""
+        st = self._onto_snf() if self.src == self.tgt else None
+        if st is None:
             raise ValueError("not an isomorphism")
-        n = self.tgt.n_gens
-        m = self.src.n_gens
-        orders = self.tgt.gen_orders()
-        torsion_cols = [j for j, d in enumerate(orders) if d]
-        st = _snf([list(row) + [orders[tc] if i == tc else 0 for tc in torsion_cols]
-                   for i, row in enumerate(self.matrix)])
-        cols_out = []
-        for j in range(n):
-            sol = st.solve([1 if i == j else 0 for i in range(n)])
-            if sol is None:
-                raise ValueError("no preimage; inverse does not exist")
-            cols_out.append(sol[:m])
-        rows = [[cols_out[j][i] for j in range(n)] for i in range(m)]
+        n, m = self.tgt.n_gens, self.src.n_gens
+        rows = mat_mul([row[:n] for row in st.v[:m]], st.u)
         inv = GroupHom.make(self.tgt, self.src, rows)
         if (
             inv.compose(self) != GroupHom.identity(self.src)
@@ -378,45 +351,39 @@ def chain_complex(p: PathComplex) -> ChainComplex:
 
 
 class HomologyBasis:
-    """H_k with an adapted generator basis and cycle classification."""
+    """H_k with an adapted generator basis and cycle classification.
+
+    With D = U d_k V in Smith normal form and r = rank d_k, the columns
+    V[:, r:] are a basis of the k-cycles, and V^-1 c gives the coordinates
+    of a chain c in it: c is a cycle iff its first r coordinates vanish.
+    The boundaries of the (k+1)-cubes in those coordinates, the matrix
+    B = V^-1[r:] d_{k+1}, are reduced by a second SNF; its invariant
+    factors are the torsion, and its zero rows the free part.  d d = 0 is
+    checked by ``chain_complex``, so B is read off without a check that
+    each boundary is a cycle.
+    """
 
     def __init__(self, cx: ChainComplex, k: int):
         self.k = k
         n_k = cx.rank(k)
-        bnd_k = cx.boundary(k)
-        bnd_up = cx.boundary(k + 1)
-        if n_k == 0:
-            self.kernel = []
-            self.group = FgAbGroup(0)
-            self._u_b = []
-            self._u_b_inv = []
-            self._orders = []
-            self._kept = []
-            self._kernel_snf = None
-            return
-        if cx.rank(k - 1) == 0 or k == 0:
-            kernel = mat_identity(n_k)
+        if n_k and k and cx.rank(k - 1):
+            st = _snf(cx.boundary(k))
+            r = sum(1 for i in range(min(st.rows, st.cols)) if st.a[i][i])
+            v, v_inv = st.v, st.v_inv
         else:
-            st = _snf(bnd_k)
-            rank = sum(
-                1 for i in range(min(st.rows, st.cols)) if st.a[i][i]
-            )
-            kernel = [
-                [st.v[i][j] for j in range(rank, st.cols)] for i in range(st.cols)
-            ]
-        z = len(kernel[0]) if kernel else 0
-        self.kernel = kernel  # n_k x z
-        self._kernel_snf = _snf(kernel) if z else None
-        if cx.rank(k + 1) and z:
-            img_cols = []
-            for col in range(cx.rank(k + 1)):
-                vec = [bnd_up[row][col] for row in range(n_k)]
-                coords = self._kernel_coords(vec)
-                img_cols.append(coords)
-            b = [[img_cols[c][r] for c in range(len(img_cols))] for r in range(z)]
-        else:
-            b = mat_zero(z, 0)
-        if z and b and b[0]:
+            r, v = 0, mat_identity(n_k)
+            v_inv = v
+        z = n_k - r
+        self.kernel = [row[r:] for row in v]  # n_k x z
+        self._bnd_rank = r
+        self._v_inv = v_inv
+        # B = V^-1[r:] d_{k+1}, over the nonzero entries of each boundary
+        bnd_cols = [
+            [(i, x) for i, x in enumerate(col) if x]
+            for col in zip(*cx.boundary(k + 1))
+        ]
+        b = [[sum(row[i] * x for i, x in col) for col in bnd_cols] for row in v_inv[r:]]
+        if z and b[0]:
             stb = _snf(b)
             diag = [stb.a[i][i] for i in range(min(len(b), len(b[0])))]
             self._u_b = stb.u
@@ -433,23 +400,19 @@ class HomologyBasis:
         self.group = FgAbGroup(rank_free, torsion)
 
     def _kernel_coords(self, vec: list[int]) -> list[int]:
-        x = self._kernel_snf.solve(vec)
-        if x is None:
+        nonzero = [(i, x) for i, x in enumerate(vec) if x]
+        x = [sum(row[i] * c for i, c in nonzero) for row in self._v_inv]
+        if any(x[: self._bnd_rank]):
             raise ValueError("vector not in the kernel lattice")
-        return x
+        return x[self._bnd_rank :]
 
     def generator_cycle(self, idx: int) -> list[int]:
         """A chain representing the idx-th kept generator."""
         col = self._kept[idx]
-        coords = [self._u_b_inv[i][col] for i in range(len(self._u_b_inv))]
-        return mat_vec(self.kernel, coords) if self.kernel else []
+        return mat_vec(self.kernel, [row[col] for row in self._u_b_inv])
 
     def class_of_cycle(self, vec: list[int]) -> list[int]:
         """Coordinates of a cycle's class in the kept generators."""
-        if not self.kernel:
-            if any(vec):
-                raise ValueError("nonzero vector in zero module")
-            return []
         x = self._kernel_coords(vec)
         w = mat_vec(self._u_b, x)
         out = []

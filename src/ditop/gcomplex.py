@@ -89,6 +89,9 @@ class GlobularComplex:
         self._state_set = frozenset(self.states)
         # route complexes by (alpha, beta, cap); valid since cells never change
         self.route_cache: dict = {}
+        # set once the checks that route enumeration needs have passed
+        self.checked = False
+        self._successors: dict[str, list[str]] | None = None
 
     # -- cell bookkeeping -------------------------------------------------
 
@@ -166,6 +169,15 @@ class GlobularComplex:
             arcs.append((self.src(name), name))
             arcs.append((name, self.tgt(name)))
         return arcs
+
+    def successors(self) -> dict[str, list[str]]:
+        """The one-step order as successor lists, built once."""
+        if self._successors is None:
+            succ: dict[str, list[str]] = {}
+            for a, b in self.order_arcs():
+                succ.setdefault(a, []).append(b)
+            self._successors = succ
+        return self._successors
 
     def path_endpoints(self, path: tuple[str, ...]) -> tuple[str, str]:
         """Endpoints of a composable edge-path; raises on gaps."""

@@ -70,9 +70,7 @@ def trace_category(x: GlobularComplex, cap=DEFAULT_CAP) -> TraceCategoryD:
     """Enumerate every chain of the one-step face order."""
     x.require_computable()
     require_loop_free(x)
-    succ: dict[str, list[str]] = {}
-    for a, b in x.order_arcs():
-        succ.setdefault(a, []).append(b)
+    succ = x.successors()
     chains: list[Chain] = []
     for cell in x.all_cells():
         stack = [(cell,)]

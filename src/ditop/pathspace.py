@@ -163,9 +163,12 @@ def _route_words(x: GlobularComplex, alpha: str, beta: str, cap: int, with_cells
 
 
 def _prepare(x: GlobularComplex):
-    require_valid(x)
-    x.require_computable()
-    require_loop_free(x)
+    """Check x once: complexes never change after construction."""
+    if not x.checked:
+        require_valid(x)
+        x.require_computable()
+        require_loop_free(x)
+        x.checked = True
 
 
 def enumerate_vertex_paths(x: GlobularComplex, alpha: str, beta: str, cap=DEFAULT_CAP):
@@ -227,9 +230,7 @@ def has_chain(x: GlobularComplex, c: str, d: str) -> bool:
         raise UnknownCell(f"{c} or {d}")
     frontier = [c]
     seen = {c}
-    succ: dict[str, list[str]] = {}
-    for a, b in x.order_arcs():
-        succ.setdefault(a, []).append(b)
+    succ = x.successors()
     while frontier:
         new = []
         for u in frontier:

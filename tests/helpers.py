@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 import random
 
-from ditop.algtop import mat_zero
+from ditop.algtop import FgAbGroup, GroupHom, _snf, mat_identity, mat_vec, mat_zero
 from ditop.errors import NotFunctorial
 from ditop.gcomplex import parse_gcx
 from ditop.pathspace import TraceSpaceValue, path_complex
@@ -319,3 +319,100 @@ def bisimilar_by_scan(f, g):
     covered = set(by_i) == set(f.index.objects) and set(by_j) == set(g.index.objects)
     verdict = "yes" if covered else ("no" if exact else "unknown")
     return verdict, tuple(live)
+
+
+# -- homology oracles: kernel coordinates by integer solves -----------------
+
+
+def snf_solve(st, b):
+    """One integer x with M x = b for the matrix M that ``st`` reduced,
+    or None: x = V q with q_i = (U b)_i / d_i."""
+    y = mat_vec(st.u, b)
+    q = [0] * st.cols
+    for i in range(st.rows):
+        d = st.a[i][i] if i < st.cols else 0
+        if d:
+            if y[i] % d:
+                return None
+            q[i] = y[i] // d
+        elif y[i]:
+            return None
+    return mat_vec(st.v, q)
+
+
+class HomologyBasisBySolve:
+    """Oracle for ``HomologyBasis``: cycles from an SNF of d_k, kernel
+    coordinates by an integer solve against a second SNF of the kernel
+    basis (one solve per column of d_{k+1}), the quotient from a third."""
+
+    def __init__(self, cx, k):
+        n_k = cx.rank(k)
+        bnd_up = cx.boundary(k + 1)
+        if n_k == 0:
+            self.kernel = []
+            self.group = FgAbGroup(0)
+            self._kept = []
+            return
+        if cx.rank(k - 1) == 0 or k == 0:
+            kernel = mat_identity(n_k)
+        else:
+            st = _snf(cx.boundary(k))
+            rank = sum(1 for i in range(min(st.rows, st.cols)) if st.a[i][i])
+            kernel = [row[rank:] for row in st.v]
+        z = len(kernel[0]) if kernel else 0
+        self.kernel = kernel
+        self._kernel_snf = _snf(kernel) if z else None
+        if cx.rank(k + 1) and z:
+            img_cols = [
+                self.kernel_coords([bnd_up[row][col] for row in range(n_k)])
+                for col in range(cx.rank(k + 1))
+            ]
+            b = [[img_cols[c][r] for c in range(len(img_cols))] for r in range(z)]
+        else:
+            b = mat_zero(z, 0)
+        if z and b and b[0]:
+            stb = _snf(b)
+            diag = [stb.a[i][i] for i in range(min(len(b), len(b[0])))]
+            self._u_b, self._u_b_inv = stb.u, stb.u_inv
+        else:
+            diag = []
+            self._u_b = self._u_b_inv = mat_identity(z)
+        orders = [d for d in diag if d] + [0] * (z - sum(1 for d in diag if d))
+        self._orders = orders
+        self._kept = [i for i, d in enumerate(orders) if d != 1]
+        torsion = tuple(orders[i] for i in self._kept if orders[i] >= 2)
+        self.group = FgAbGroup(sum(1 for i in self._kept if orders[i] == 0), torsion)
+
+    def kernel_coords(self, vec):
+        x = snf_solve(self._kernel_snf, vec)
+        if x is None:
+            raise ValueError("vector not in the kernel lattice")
+        return x
+
+    def generator_cycle(self, idx):
+        col = self._kept[idx]
+        return mat_vec(self.kernel, [row[col] for row in self._u_b_inv])
+
+    def class_of_cycle(self, vec):
+        w = mat_vec(self._u_b, self.kernel_coords(vec))
+        return [w[i] % self._orders[i] if self._orders[i] else w[i] for i in self._kept]
+
+
+def inverse_by_solve(h: GroupHom) -> GroupHom:
+    """Oracle for ``GroupHom.inverse``: solve M x = e_j for each target
+    generator j, with M the matrix beside the target's torsion relations."""
+    if not h.is_iso():
+        raise ValueError("not an isomorphism")
+    n, m = h.tgt.n_gens, h.src.n_gens
+    orders = h.tgt.gen_orders()
+    rel = [j for j, d in enumerate(orders) if d]
+    st = _snf([list(row) + [orders[j] if i == j else 0 for j in rel]
+               for i, row in enumerate(h.matrix)])
+    cols = []
+    for j in range(n):
+        sol = snf_solve(st, [1 if i == j else 0 for i in range(n)])
+        if sol is None:
+            raise ValueError("no preimage; inverse does not exist")
+        cols.append(sol[:m])
+    rows = [[cols[j][i] for j in range(n)] for i in range(m)]
+    return GroupHom.make(h.tgt, h.src, rows)

@@ -1,31 +1,39 @@
 """Smith normal form, chain complexes, homology, induced maps."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from ditop import fixtures
+from ditop import algtop, fixtures
 from ditop.algtop import (
     FgAbGroup,
+    ChainComplex,
     FinSetMap,
     GroupHom,
+    HomologyBasis,
     _snf,
     chain_complex,
     homology,
     homology_basis,
     mat_identity,
     mat_mul,
+    mat_vec,
+    mat_zero,
     pi0,
     smith_normal_form,
-    solve_integer,
 )
-from ditop.gcomplex import subdivide_2cell, subdivide_edge
+from ditop.gcomplex import parse_gcx, subdivide_2cell, subdivide_edge
 from ditop.pathspace import extend_map, path_complex, rep_path
 from ditop.values import Valuation
-from helpers import routes
+from helpers import HomologyBasisBySolve, inverse_by_solve, load_data, routes
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gridgen import grid  # noqa: E402
 
 PI0 = Valuation("pi0")
 HOM1 = Valuation("hom", 1)
@@ -104,14 +112,10 @@ class TestSNF:
             assert all(x >= 0 for x in diag)
             st = _snf(m)
             assert mat_mul(st.u, st.u_inv) == mat_identity(rows)
+            assert mat_mul(st.v, st.v_inv) == mat_identity(cols)
             oracle = sympy_snf(Matrix(m), domain=ZZ)
             oracle_diag = [abs(oracle[i, i]) for i in range(min(rows, cols))]
             assert nz == [x for x in oracle_diag if x]
-
-    def test_solver(self):
-        m = [[2, 0], [0, 3]]
-        assert solve_integer(m, [4, 9]) == [2, 3]
-        assert solve_integer(m, [1, 0]) is None
 
 
 class TestChainComplex:
@@ -176,6 +180,26 @@ class TestHomology:
             z = basis.generator_cycle(i)
             cls = basis.class_of_cycle(z)
             assert cls == [1 if j == i else 0 for j in range(basis.group.n_gens)]
+
+    def test_snf_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(algtop, "_snf", lambda m: calls.append(1) or _snf(m))
+        cx = chain_complex(path_complex(load_data("LOOPS"), "p", "q"))
+        for k in range(4):
+            calls.clear()
+            HomologyBasis(cx, k)
+            assert len(calls) <= 2, k
+        calls.clear()
+        g = FgAbGroup(1, (2,))
+        GroupHom.make(g, g, [[1, 1], [0, 1]]).inverse()
+        assert len(calls) == 1
+
+    def test_class_of_non_cycle_raises(self):
+        # H1 of the square is 0 and its one 1-cube is no cycle
+        p = path_complex(fixtures.load("FIX-SQUARE"), "s00", "s11")
+        basis = homology_basis(p, 1)
+        with pytest.raises(ValueError, match="not in the kernel lattice"):
+            basis.class_of_cycle([1])
 
 
 class TestPi0:
@@ -322,8 +346,8 @@ GROUPS = [
 ]
 
 
-def rand_hom(rng, src, tgt):
-    rows = [[rng.randint(-7, 7) for _ in range(src.n_gens)] for _ in range(tgt.n_gens)]
+def rand_hom(rng, src, tgt, lo=-7, hi=7):
+    rows = [[rng.randint(lo, hi) for _ in range(src.n_gens)] for _ in range(tgt.n_gens)]
     return GroupHom.make(src, tgt, rows)
 
 
@@ -396,3 +420,106 @@ class TestCompose:
         # an equal but distinct group object composes
         first = GroupHom.make(z, FgAbGroup(0, (4,)), [[3]])
         assert GroupHom.make(z4, z4, [[2]]).compose(first).matrix == ((2,),)
+
+
+def holed_grid(n, m, holes):
+    return parse_gcx(grid(n, m, holes).text(), f"G{n}x{m}")
+
+
+def basis_cases():
+    """(label, path complex, degree) for every state pair of the gallery
+    and LOOPS in degrees 0 to dim + 1, and corner to corner of a few holed
+    grids."""
+    for x in [fixtures.load(name) for name in fixtures.GALLERY] + [load_data("LOOPS")]:
+        for a in x.states:
+            for b in x.states:
+                p = path_complex(x, a, b)
+                for k in range(p.dimension + 2):
+                    yield f"{x.name} {a}->{b} H{k}", p, k
+    grids = ((2, 2, [(0, 0)]), (3, 3, [(1, 1)]), (3, 4, [(1, 1)]), (2, 4, [(0, 1), (1, 2)]))
+    for n, m, holes in grids:
+        p = path_complex(holed_grid(n, m, holes), "s0_0", f"s{n}_{m}")
+        for k in range(p.dimension + 2):
+            yield f"grid {n}x{m} minus {holes} H{k}", p, k
+
+
+class TestAgainstSolveOracle:
+    """``HomologyBasis`` reads kernel coordinates off the tracked V^-1 of
+    one SNF; the oracle solves for them against an SNF of the kernel."""
+
+    def assert_agree(self, cx, k, rng, label):
+        new, old = HomologyBasis(cx, k), HomologyBasisBySolve(cx, k)
+        assert new.group == old.group, label
+        assert new.kernel == old.kernel, label
+        assert [new.generator_cycle(i) for i in range(new.group.n_gens)] == [
+            old.generator_cycle(i) for i in range(old.group.n_gens)
+        ], label
+        z = len(new.kernel[0]) if new.kernel else 0
+        if not z:
+            return False
+        bnd, bnd_up = cx.boundary(k), cx.boundary(k + 1)
+        for _ in range(6):
+            # a random cycle plus a random boundary
+            cycle = mat_vec(new.kernel, [rng.randint(-3, 3) for _ in range(z)])
+            for col in range(cx.rank(k + 1)):
+                q = rng.randint(-2, 2)
+                cycle = [x + q * row[col] for x, row in zip(cycle, bnd_up)]
+            assert new.class_of_cycle(cycle) == old.class_of_cycle(cycle), label
+        for i in range(cx.rank(k)):
+            if any(row[i] for row in bnd):  # the i-th cell is no cycle
+                chain = [int(j == i) for j in range(cx.rank(k))]
+                for basis in (new, old):
+                    with pytest.raises(ValueError, match="not in the kernel lattice"):
+                        basis.class_of_cycle(chain)
+        return True
+
+    def test_route_complexes_agree(self):
+        rng = random.Random(41)
+        with_cycles = sum(
+            self.assert_agree(chain_complex(p), k, rng, label)
+            for label, p, k in basis_cases()
+        )
+        assert with_cycles > 50
+
+    def test_random_complexes_agree(self):
+        # C2 -> C1 -> C0 with d2 = (kernel basis of d1) x R: torsion in H1
+        rng = random.Random(42)
+        torsion = 0
+        for trial in range(150):
+            n0, n1, n2 = rng.randint(0, 4), rng.randint(1, 5), rng.randint(1, 4)
+            d1 = [[rng.randint(-2, 2) for _ in range(n1)] for _ in range(n0)]
+            if n0:
+                d, u, v = smith_normal_form(d1)
+                r = sum(1 for i in range(min(n0, n1)) if d[i][i])
+                kernel = [row[r:] for row in v]
+            else:
+                kernel = mat_identity(n1)
+            z = len(kernel[0])
+            r2 = [[rng.randint(-3, 3) for _ in range(n2)] for _ in range(z)]
+            d2 = mat_mul(kernel, r2) if z else mat_zero(n1, n2)
+            bnds = ((), tuple(map(tuple, d1)), tuple(map(tuple, d2)))
+            cx = ChainComplex((n0, n1, n2), bnds)
+            for k in range(4):
+                self.assert_agree(cx, k, rng, f"trial {trial} H{k}")
+            torsion += bool(HomologyBasis(cx, 1).group.torsion)
+        assert torsion > 10
+
+    def test_inverses_agree(self):
+        # random well-defined isomorphisms: a torsion generator of order d
+        # must go to an element killed by d
+        rng = random.Random(43)
+        isos = 0
+        for _ in range(3000):
+            g = rng.choice(GROUPS[1:])
+            h = rand_hom(rng, g, g, lo=-3, hi=3)
+            orders = g.gen_orders()
+            if any(d * x % t if t else d * x for row, t in zip(h.matrix, orders)
+                   for x, d in zip(row, orders) if d):
+                continue
+            if not h.is_iso():
+                continue
+            isos += 1
+            inv = h.inverse()
+            assert inv == inverse_by_solve(h), h
+            assert inv.compose(h) == GroupHom.identity(g) == h.compose(inv)
+        assert isos > 300

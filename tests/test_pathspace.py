@@ -19,7 +19,13 @@ from ditop.errors import (
     UnknownState,
 )
 from ditop.gcomplex import Cell2, Edge, GlobularComplex
-from ditop.natsys import _SystemBuilder, crush_component, map_chain_through
+from ditop import pathspace
+from ditop.natsys import (
+    _SystemBuilder,
+    crush_component,
+    map_chain_through,
+    trace_category,
+)
 from ditop.pathspace import (
     DEFAULT_CAP,
     DirectedPathPL,
@@ -29,6 +35,7 @@ from ditop.pathspace import (
     enumerate_vertex_paths,
     extend_map,
     format_path_spec,
+    has_chain,
     naturalize,
     parse_path_spec,
     path_complex,
@@ -81,6 +88,37 @@ class TestPathComplex:
             path_complex(dangling, "u", "v")
         with pytest.raises(UnknownState):
             path_complex(fixtures.load("FIX-B"), "v0", "zz")
+
+    def test_checks_run_once_and_failures_repeat(self, monkeypatch):
+        calls = []
+        real = pathspace.require_valid
+        monkeypatch.setattr(
+            pathspace, "require_valid", lambda x: calls.append(x.name) or real(x)
+        )
+        x = fixtures.load("FIX-A")
+        for _ in range(3):
+            trace_space(x, "v0", "c2")
+            path_complex(x, "v1", "v3")
+        assert calls == ["FIX-A"]
+        cyclic = GlobularComplex(
+            "X", ["u", "v"], [Edge("a", "u", "v"), Edge("b", "v", "u")]
+        )
+        dangling = GlobularComplex("Y", ["u", "v"], [Edge("a", "u", "w")])
+        for _ in range(2):
+            with pytest.raises(InvalidFaces):
+                trace_space(dangling, "u", "v")
+        for _ in range(2):  # a skipped check would enumerate without end here
+            with pytest.raises(NotLoopFree):
+                trace_space(cyclic, "u", "v")
+
+    def test_one_successor_map(self):
+        x = fixtures.load("FIX-A")
+        succ = x.successors()
+        assert has_chain(x, "v0", "v3") and trace_category(x).chains
+        assert x.successors() is succ
+        assert sorted((a, b) for a, bs in succ.items() for b in bs) == sorted(
+            x.order_arcs()
+        )
 
     def test_square(self):
         p = path_complex(fixtures.load("FIX-SQUARE"), "s00", "s11")
