@@ -179,6 +179,40 @@ def chain_matrices(sm):
 # -- oracles for the indexed factorization poset and verifier ------------------
 
 
+def hom_pairs(index):
+    """Every morphism (a, b) of a factorization poset, a in object order."""
+    return [(a, b) for a in index.objects for b in index.targets_from(a)]
+
+
+def closure_maps(d):
+    """Oracle for ``Diagram.map``: the map of every hom pair of d, by the
+    closure walk the natural-system build once ran from every object,
+    composing generator maps depth first and checking that routes agree."""
+    from ditop.values import ValueMap
+
+    values = d.values
+    gen_maps = {(a, b): d.maps[(a, b)] for a, b in d.index.generators()}
+    maps = {}
+    for t in d.index.objects:
+        known = {t: ValueMap.identity(values[t])}
+        frontier = [t]
+        while frontier:
+            u = frontier.pop()
+            for w in d.index.gens_from(u):
+                m = gen_maps[(u, w)].compose(known[u])
+                if w in known:
+                    if known[w] != m:
+                        raise NotFunctorial(
+                            f"extension square at {t}: routes to {w} disagree"
+                        )
+                else:
+                    known[w] = m
+                    frontier.append(w)
+        for w, m in known.items():
+            maps[(t, w)] = m
+    return maps
+
+
 def is_subchain(a, b):
     """a occurs in b as a contiguous block: the old hom-set scan."""
     if len(a) > len(b) or a[0] not in b:

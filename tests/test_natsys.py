@@ -1,15 +1,20 @@
 """Trace categories, factorization posets, natural systems, induced maps."""
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ditop import fixtures, values
+from ditop.algtop import FinSetMap
+from ditop.bisim import check_open
 from ditop.errors import NotFunctorial
 from ditop.gcomplex import (
     CellularMap,
     GlobularComplex,
     identity_map,
+    parse_gcx,
     subdivide_2cell,
     subdivide_edge,
 )
@@ -17,8 +22,10 @@ from ditop.natsys import (
     coarsening_map,
     crush_induced_map,
     diagram_export,
+    DiagramMap,
     dt_comparison,
     factorization_category,
+    identity_diagram_map,
     map_chain_through,
     natural_system,
     nt_value_of_path,
@@ -28,11 +35,15 @@ from ditop.pathspace import DirectedPathPL
 from ditop.reparam import PLMap
 from ditop.values import Valuation, ValueMap
 
-from helpers import is_subchain, scan_targets
+from helpers import closure_maps, hom_pairs, is_subchain, load_data, scan_targets
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gridgen import grid  # noqa: E402
 
 F = Fraction
 PI0 = Valuation("pi0")
 HOM1 = Valuation("hom", 1)
+HOM2 = Valuation("hom", 2)
 
 
 def dag_path_count(x):
@@ -97,15 +108,33 @@ class TestFactCat:
         fc = factorization_category(trace_category(fixtures.load("FIX-EDGE")))
         for t in fc.objects:
             assert fc.hom(t, t)
-            u, v = fc.extension_pair(t, t)
-            assert u == (t[0],) and v == (t[-1],)
+            assert t in fc.targets_from(t) and t not in fc.gens_from(t)
+
+    def test_generator_side(self):
+        # a generator a -> b extends a on the left exactly when b[1:] == a,
+        # else on the right, when b[:-1] == a
+        fc = factorization_category(trace_category(fixtures.load("FIX-EDGE")))
+        left = {(a, b) for a, b in fc.generators() if b[1:] == a}
+        right = {(a, b) for a, b in fc.generators() if b[:-1] == a}
+        assert left == {
+            (("d",), ("v0", "d")),
+            (("d", "v1"), ("v0", "d", "v1")),
+            (("v1",), ("d", "v1")),
+        }
+        assert right == set(fc.generators()) - left
+        for name in fixtures.GALLERY:
+            fc = factorization_category(trace_category(fixtures.load(name)))
+            for a, b in fc.generators():
+                assert (b[1:] == a) != (b[:-1] == a), (name, a, b)
 
     def test_two_sided_square(self):
         fc = factorization_category(trace_category(fixtures.load("FIX-EDGE")))
         # left then right and right then left meet at the same object
         assert fc.hom(("d",), ("v0", "d", "v1"))
-        u, v = fc.extension_pair(("d",), ("v0", "d", "v1"))
-        assert u == ("v0", "d") and v == ("d", "v1")
+        b = ("v0", "d", "v1")
+        assert b[1:] in fc.gens_from(("d",)) and b[:-1] in fc.gens_from(("d",))
+        assert b in fc.gens_from(b[1:]) and b in fc.gens_from(b[:-1])
+        assert b[1:][:-1] == b[:-1][1:] == ("d",)
 
 
 def with_single_step_splits(name):
@@ -145,7 +174,7 @@ class TestNaturalSystem:
     def test_fix_edge_all_singletons(self):
         d = natural_system(fixtures.load("FIX-EDGE"), PI0)
         assert all(v.components == 1 for v in d.values.values())
-        assert all(m.comp.is_bijective() for m in d.maps.values())
+        assert all(d.map(a, b).comp.is_bijective() for a, b in hom_pairs(d.index))
 
     def test_fix_b_middle_value(self):
         d = natural_system(fixtures.load("FIX-B"), PI0)
@@ -154,7 +183,7 @@ class TestNaturalSystem:
     def test_fix_a_extension_lands_in_filled_class(self):
         d = natural_system(fixtures.load("FIX-A"), PI0)
         assert d.values[("c2",)].components == 1
-        m = d.maps[(("c2",), ("v0", "c2", "v3"))]
+        m = d.map(("c2",), ("v0", "c2", "v3"))
         assert m.tgt.components == 2
         assert m.comp.images == (0,)
 
@@ -174,14 +203,13 @@ class TestNaturalSystem:
             d = natural_system(x, PI0)
             found = 0
             for a, b in d.index.generators():
-                u, v = d.index.extension_pair(a, b)
                 if len(a) < 2:
                     continue
-                if len(u) == 2 and x.dim(b[0]) >= 1:
-                    assert d.maps[(a, b)] == ValueMap.identity(d.values[a])
+                if b[1:] == a and x.dim(b[0]) >= 1:
+                    assert d.map(a, b) == ValueMap.identity(d.values[a])
                     found += 1
-                if len(v) == 2 and x.dim(b[-1]) >= 1:
-                    assert d.maps[(a, b)] == ValueMap.identity(d.values[a])
+                if b[:-1] == a and x.dim(b[-1]) >= 1:
+                    assert d.map(a, b) == ValueMap.identity(d.values[a])
                     found += 1
             if name in ("FIX-A", "FIX-B"):
                 assert found
@@ -190,11 +218,11 @@ class TestNaturalSystem:
         # composing generator images along any two-step factorization
         for name in ["FIX-A", "FIX-SQUARE", "FIX-LOOPCELL"]:
             d = natural_system(fixtures.load(name), PI0)
-            for a, b in d.maps:
+            for a, b in hom_pairs(d.index):
                 for mid in d.index.targets_from(a):
                     if d.index.hom(mid, b):
-                        left = d.maps[(mid, b)].compose(d.maps[(a, mid)])
-                        assert left == d.maps[(a, b)]
+                        left = d.map(mid, b).compose(d.map(a, mid))
+                        assert left == d.map(a, b)
 
     def test_components_computed_once_per_complex(self, monkeypatch):
         computed = []
@@ -219,6 +247,123 @@ class TestNaturalSystem:
         d = natural_system(fixtures.load("FIX-LOOPCELL"), HOM1)
         v = d.values[("u0", "g", "u1")]
         assert v.groups[1].rank == 1
+
+
+def hom_map_cases():
+    """(label, complex, valuation) whose hom maps are checked against the
+    closure oracle: the gallery under pi0 and hom:1, LOOPS under hom:2 and
+    two holed grids."""
+    for name in fixtures.GALLERY:
+        for val in (PI0, HOM1):
+            yield f"{name} {val.label}", fixtures.load(name), val
+    yield "LOOPS hom:2", load_data("LOOPS"), HOM2
+    for n, m, holes in ((2, 2, [(0, 0)]), (2, 3, [(1, 1)])):
+        x = parse_gcx(grid(n, m, holes).text(), f"G{n}x{m}")
+        for val in (PI0, HOM1):
+            yield f"{x.name} {val.label}", x, val
+
+
+class TestHomMaps:
+    """A diagram stores its generator maps and composes the rest on demand."""
+
+    CASES = list(hom_map_cases())
+
+    @pytest.mark.parametrize("label, x, val", CASES, ids=[c[0] for c in CASES])
+    def test_map_matches_closure(self, label, x, val):
+        d = natural_system(x, val)
+        oracle = closure_maps(d)
+        pairs = hom_pairs(d.index)
+        assert set(oracle) == set(pairs), label
+        for a, b in pairs:
+            assert d.map(a, b) == oracle[(a, b)], (label, a, b)
+
+    def test_non_morphism_rejected(self):
+        d = natural_system(fixtures.load("FIX-EDGE"), PI0)
+        with pytest.raises((NotFunctorial, KeyError)):
+            d.map(("v1",), ("v0", "d"))
+
+    def test_corrupted_generator_fails_a_square(self):
+        # a left generator into the two-component chain [d1,v1,d2,v2,d3]
+        # with its target components swapped: the square at [v1,d2,v2]
+        # no longer commutes
+        x = fixtures.load("FIX-B")
+        b = ("d1", "v1", "d2", "v2", "d3")
+        gens = list(natural_system(x, PI0).index.generators())
+        target = gens.index((b[1:], b))
+
+        class SwapOne:
+            """pi0, except that the generator maps are counted in the order
+            the build values them and the target-th has its two target
+            components swapped."""
+
+            label = "pi0"
+
+            def __init__(self):
+                self.calls = 0
+
+            def value(self, v):
+                return PI0.value(v)
+
+            def map(self, sm):
+                m = PI0.map(sm)
+                self.calls += 1
+                if self.calls - 1 == target:
+                    assert m.tgt.components == 2
+                    m = ValueMap(m.tgt, m.tgt, FinSetMap(2, 2, (1, 0))).compose(m)
+                return m
+
+        with pytest.raises(NotFunctorial, match="extension square"):
+            natural_system(x, SwapOne())
+        natural_system(x, PI0)  # the uncorrupted build passes
+
+
+class TestPlantedMaps:
+    def test_non_natural_component(self):
+        # FIX-B's identity map with the component at [v1,d2,v2] swapped:
+        # every morphism into or out of that chain fails its square
+        d = natural_system(fixtures.load("FIX-B"), PI0)
+        dm = identity_diagram_map(d)
+        t = ("v1", "d2", "v2")
+        v = d.values[t]
+        dm.components[t] = ValueMap(v, v, FinSetMap(2, 2, (1, 0)))
+        expected = [
+            "[d2] -> [v1,d2,v2]",
+            "[v1] -> [v1,d2,v2]",
+            "[v2] -> [v1,d2,v2]",
+            "[d2,v2] -> [v1,d2,v2]",
+            "[v1,d2] -> [v1,d2,v2]",
+            "[v1,d2,v2] -> [d1,v1,d2,v2]",
+            "[v1,d2,v2] -> [v1,d2,v2,d3]",
+            "[v1,d2,v2] -> [d1,v1,d2,v2,d3]",
+            "[v1,d2,v2] -> [v1,d2,v2,d3,v3]",
+            "[v1,d2,v2] -> [d1,v1,d2,v2,d3,v3]",
+            "[v1,d2,v2] -> [v0,d1,v1,d2,v2,d3,v3]",
+            "[v1,d2,v2] -> [v0,d1,v1,d2,v2,d3]",
+            "[v1,d2,v2] -> [v0,d1,v1,d2,v2]",
+        ]
+        lines = [f"not-natural: square at {s} does not commute" for s in expected]
+        chk = check_open(dm, max_failures=100)
+        assert not chk.ok
+        assert [str(f) for f in chk.failures] == lines
+        capped = check_open(dm)
+        assert [str(f) for f in capped.failures] == lines[:10]
+
+    def test_non_functorial_object_map(self):
+        # FIX-EDGE's identity map with [v0] sent to [v1]: the generator
+        # [v0] -> [v0,d] has no image morphism
+        d = natural_system(fixtures.load("FIX-EDGE"), PI0)
+        ident = identity_diagram_map(d)
+        dm = DiagramMap(d, d, {**ident.obj_map, ("v0",): ("v1",)}, ident.components)
+        message = (
+            "image of ('v0',) -> ('v0', 'd') is not a morphism: "
+            "('v1',) !-> ('v0', 'd')"
+        )
+        with pytest.raises(NotFunctorial) as err:
+            dm.check_functorial()
+        assert str(err.value) == message
+        chk = check_open(dm)
+        assert not chk.ok
+        assert [str(f) for f in chk.failures] == [f"not-functorial: {message}"]
 
 
 class TestNtValueOfPath:

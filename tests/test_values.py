@@ -11,6 +11,8 @@ from ditop.natsys import natural_system
 from ditop.pathspace import TraceSpaceValue, trace_space
 from ditop.values import Valuation, Value, ValueMap, iso_candidates, parse_valuation
 
+from helpers import hom_pairs
+
 
 class TestValuation:
     def test_parse(self):
@@ -42,7 +44,8 @@ class TestValuation:
         assert with_point.components == hom1.value(ts).components + 1
         assert Valuation("pi0").value(ts) == Value(2) != hom1.value(ts)
         d = natural_system(x, hom1)
-        for (a, b), m in d.maps.items():
+        for a, b in hom_pairs(d.index):
+            m = d.map(a, b)
             assert m.src is d.values[a] and m.tgt is d.values[b]
 
     def test_describe_pi0(self):
