@@ -11,7 +11,8 @@ square-completion clause serves both paths, challenging each triple
 along generators: the search answers with live triples only, and
 ``verify_bisimulation`` re-checks the certificate answering with any of
 its triples.  Generators suffice because every diagram built by
-``natural_system`` is functorial, so squares paste along composites.
+``natural_system`` is functorial, its build checking every extension
+square, so squares paste along composites.
 
 Candidate isomorphisms come from the valuation layer; when their
 enumeration is incomplete (free rank two or beyond, composite torsion) a
@@ -151,11 +152,8 @@ def _square_clause(f: Diagram, g: Diagram, answers: dict, triples, live):
     empty value or j2 a value with at most one element and no homology:
     then both sides are the one map there is.
     """
-    f_maps, g_maps = f.maps, g.maps
     empty_f = {i: f.value(i).components == 0 for i in f.index.objects}
     simple_g = {j: _is_simple(g.value(j)) for j in g.index.objects}
-    f_targets = {i: f.index.targets_from(i) for i in f.index.objects}
-    g_targets = {j: g.index.targets_from(j) for j in g.index.objects}
 
     def answered(ks, left, f_map) -> bool:
         for k in ks:
@@ -165,30 +163,28 @@ def _square_clause(f: Diagram, g: Diagram, answers: dict, triples, live):
 
     def stuck(i, eta, j, i_steps, j_steps):
         trivial_i = empty_f[i]
-        j_targets = g_targets[j]
         for i2 in i_steps:
-            f_map = f_maps[i, i2]
-            for j2 in j_targets:
+            f_map = f.map(i, i2)
+            for j2 in g.index.targets_from(j):
                 ks = answers.get((i2, j2))
                 if not ks:
                     continue
                 trivial = trivial_i or simple_g[j2]
-                left = None if trivial else g_maps[j, j2].compose(eta)
+                left = None if trivial else g.map(j, j2).compose(eta)
                 if answered(ks, left, f_map):
                     break
             else:
                 return "forth", i, i2
-        i_targets = f_targets[i]
         for j2 in j_steps:
             trivial = trivial_i or simple_g[j2]
             left = None
-            for i2 in i_targets:
+            for i2 in f.index.targets_from(i):
                 ks = answers.get((i2, j2))
                 if not ks:
                     continue
                 if left is None and not trivial:
-                    left = g_maps[j, j2].compose(eta)
-                if answered(ks, left, f_maps[i, i2]):
+                    left = g.map(j, j2).compose(eta)
+                if answered(ks, left, f.map(i, i2)):
                     break
             else:
                 return "back", j, j2
@@ -208,7 +204,7 @@ def verify_bisimulation(r, f: Diagram, g: Diagram):
     squares of the generator steps then gives the square of every
     morphism, and an identity step is answered by the triple itself.
     Every ``Diagram`` made by ``natural_system`` is functorial, since its
-    build rejects composites that disagree; a relation between diagrams
+    build checks every extension square; a relation between diagrams
     assembled some other way is only checked along generators.  Returns
     (True, None) or (False, description of the first violation).
     """

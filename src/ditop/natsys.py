@@ -17,6 +17,11 @@ extension the induced map; the rules per extension shape are:
   current head vertex glues the empty path, since the reduced endpoints
   agree, so the map is the identity.
 
+A diagram stores only these generator maps.  Their one relations are the
+squares where a left and a right extension of a chain commute, so the
+build checks one square per chain of three or more cells, and any other
+hom map is composed on demand.
+
 The module also builds the two comparison morphisms the tool checks:
 the map induced by a cellular collapse, and the comparison of the
 continuous system with the discrete one, which is taken to be the
@@ -115,11 +120,6 @@ class FactCat:
             self._homs[a] = frozenset(self.targets_from(a))
         return b in self._homs[a]
 
-    def extension_pair(self, a: Chain, b: Chain) -> tuple[Chain, Chain]:
-        """The chains (u, v) with b = u * a * v."""
-        at = b.index(a[0])
-        return b[: at + 1], b[at + len(a) - 1 :]
-
     def targets_from(self, a: Chain) -> tuple[Chain, ...]:
         if a not in self._targets:
             seen = {a} if a in self._index else set()
@@ -150,18 +150,31 @@ def factorization_category(tc: TraceCategoryD) -> FactCat:
 
 @dataclass
 class Diagram:
-    """A functor from a factorization poset into valued spaces."""
+    """A functor from a factorization poset into valued spaces, given by
+    its generator maps; ``map`` composes any other hom map on demand."""
 
     index: FactCat
     spaces: dict
     values: dict
-    maps: dict  # (src_obj, tgt_obj) -> ValueMap, for every hom pair
+    maps: dict  # (src_obj, tgt_obj) -> ValueMap: generators, then composites asked for
 
     def value(self, obj) -> Value:
         return self.values[obj]
 
     def map(self, a, b) -> ValueMap:
-        return self.maps[(a, b)]
+        """The map of a -> b, composed one extension at a time (drop b's
+        last cell unless a ends b) and cached in ``maps``."""
+        m = self.maps.get((a, b))
+        if m is None:
+            if a == b:
+                m = ValueMap.identity(self.values[a])
+            elif len(a) >= len(b):
+                raise NotFunctorial(f"no morphism {a} -> {b}")
+            else:
+                mid = b[1:] if b[-len(a) :] == a else b[:-1]
+                m = self.maps[(mid, b)].compose(self.map(a, mid))
+            self.maps[(a, b)] = m
+        return m
 
 
 @dataclass
@@ -174,22 +187,23 @@ class DiagramMap:
     components: dict  # obj -> ValueMap from src.value(obj) to tgt.value(obj_map[obj])
 
     def check_functorial(self):
-        for a, b in self.src.maps:
-            fa, fb = self.obj_map[a], self.obj_map[b]
-            if not self.tgt.index.hom(fa, fb):
-                raise NotFunctorial(
-                    f"image of {a} -> {b} is not a morphism: {fa} !-> {fb}"
-                )
+        for a in self.src.index.objects:
+            for b in self.src.index.targets_from(a):
+                fa, fb = self.obj_map[a], self.obj_map[b]
+                if not self.tgt.index.hom(fa, fb):
+                    raise NotFunctorial(
+                        f"image of {a} -> {b} is not a morphism: {fa} !-> {fb}"
+                    )
 
     def naturality_failures(self):
-        """Objects and morphisms whose naturality square fails."""
+        """Morphisms whose naturality square fails, sources in object order."""
         out = []
-        for (a, b) in self.src.maps:
-            fa, fb = self.obj_map[a], self.obj_map[b]
-            left = self.components[b].compose(self.src.map(a, b))
-            right = self.tgt.map(fa, fb).compose(self.components[a])
-            if left != right:
-                out.append((a, b))
+        for a in self.src.index.objects:
+            for b in self.src.index.targets_from(a):
+                fa, fb = self.obj_map[a], self.obj_map[b]
+                left = self.components[b].compose(self.src.map(a, b))
+                if left != self.tgt.map(fa, fb).compose(self.components[a]):
+                    out.append((a, b))
         return out
 
 
@@ -213,16 +227,10 @@ class _SystemBuilder:
 
     # -- one-cell extensions ------------------------------------------------
 
-    def gen_space_map(self, a: Chain, b: Chain) -> SpaceMap:
-        u, v = self.index.extension_pair(a, b)
-        if len(u) == 2:
-            return self._one_step(a, (u[0],) + a, left=True)
-        if len(v) == 2:
-            return self._one_step(a, a + (v[1],), left=False)
-        raise NotFunctorial(f"{a} -> {b} is not a one-cell extension")
-
-    def _one_step(self, t: Chain, t2: Chain, left: bool) -> SpaceMap:
+    def gen_space_map(self, t: Chain, t2: Chain) -> SpaceMap:
+        """The map of a generator: t2 extends t on the left when t2[1:] == t."""
         x = self.x
+        left = t2[1:] == t
         src = self.space(t)
         tgt = self.space(t2)
         anchor = t[0] if left else t[-1]
@@ -246,30 +254,25 @@ class _SystemBuilder:
     # -- assembly ------------------------------------------------------------
 
     def build(self) -> Diagram:
+        """Generator maps, then one square per chain b of three or more
+        cells: b[1:-1] -> b[:-1] -> b and b[1:-1] -> b[1:] -> b must agree.
+        Any two factorizations of an extension differ by swaps of adjacent
+        left and right steps, so these squares make the diagram functorial."""
         objects = self.index.objects
         spaces = {t: self.space(t) for t in objects}
         values = {t: self.valuation.value(spaces[t]) for t in objects}
-        gen_maps: dict[tuple[Chain, Chain], ValueMap] = {}
-        for a, b in self.index.generators():
-            gen_maps[(a, b)] = self.valuation.map(self.gen_space_map(a, b))
-        maps: dict[tuple[Chain, Chain], ValueMap] = {}
-        for t in objects:
-            known = {t: ValueMap.identity(values[t])}
-            frontier = [t]
-            while frontier:
-                u = frontier.pop()
-                for w in self.index.gens_from(u):
-                    m = gen_maps[(u, w)].compose(known[u])
-                    if w in known:
-                        if known[w] != m:
-                            raise NotFunctorial(
-                                f"extension square at {t}: routes to {w} disagree"
-                            )
-                    else:
-                        known[w] = m
-                        frontier.append(w)
-            for w, m in known.items():
-                maps[(t, w)] = m
+        maps = {
+            (a, b): self.valuation.map(self.gen_space_map(a, b))
+            for a, b in self.index.generators()
+        }
+        for b in objects:
+            if len(b) >= 3:
+                mid = b[1:-1]
+                via_right = maps[b[:-1], b].compose(maps[mid, b[:-1]])
+                if via_right != maps[b[1:], b].compose(maps[mid, b[1:]]):
+                    raise NotFunctorial(
+                        f"extension square at {mid}: routes to {b} disagree"
+                    )
         return Diagram(self.index, spaces, values, maps)
 
 
@@ -292,11 +295,10 @@ def diagram_export(d: Diagram) -> str:
     for t in d.index.objects:
         lines.append(f"value {format_chain(t)} : {d.values[t].describe()}")
     for a, b in d.index.generators():
-        u, v = d.index.extension_pair(a, b)
-        ext = f"L:{b[0]}" if len(u) == 2 else f"R:{b[-1]}"
+        ext = f"L:{b[0]}" if b[1:] == a else f"R:{b[-1]}"
         lines.append(
             f"gen {format_chain(a)} --{ext}--> {format_chain(b)} : "
-            f"{d.maps[(a, b)].describe()}"
+            f"{d.map(a, b).describe()}"
         )
     return "\n".join(lines) + "\n"
 
