@@ -243,6 +243,9 @@ class GroupHom:
 
     @staticmethod
     def make(src: FgAbGroup, tgt: FgAbGroup, rows) -> "GroupHom":
+        """The validated map: a torsion generator i of order d must go to an
+        element that d kills, so d * M[r][i] is 0 modulo the order of target
+        generator r, and M[r][i] is 0 when r is free."""
         orders = tgt.gen_orders()
         reduced = tuple(
             tuple(x % orders[i] if orders[i] else x for x in row)
@@ -252,6 +255,14 @@ class GroupHom:
             len(r) != src.n_gens for r in reduced
         ):
             raise ValueError("matrix shape does not match the groups")
+        for i, d in enumerate(src.gen_orders()):
+            if d and any(
+                d * row[i] % e if e else row[i] for row, e in zip(reduced, orders)
+            ):
+                raise ValueError(
+                    f"not a homomorphism: generator {i} of order {d} goes to "
+                    "an element that it does not kill"
+                )
         return GroupHom(src, tgt, reduced)
 
     @staticmethod

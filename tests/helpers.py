@@ -358,6 +358,34 @@ def bisimilar_by_scan(f, g):
 # -- homology oracles: kernel coordinates by integer solves -----------------
 
 
+def kills_torsion(rows, src, tgt):
+    """Oracle for the homomorphism check of ``GroupHom.make``: the relation
+    d * e_i of every torsion generator of src goes to zero in tgt."""
+    t_orders = tgt.gen_orders()
+    for i, d in enumerate(src.gen_orders()):
+        image = [d * row[i] for row in rows]
+        if d and any(x % t if t else x for x, t in zip(image, t_orders)):
+            return False
+    return True
+
+
+def hom_rows(rng, src, tgt, lo, hi):
+    """The rows of a random homomorphism src -> tgt: entry (r, i) is drawn
+    from [lo, hi], then set to 0 if generator i has order d and r is free,
+    or scaled by e / gcd(d, e) if r has order e, so that d kills it."""
+    from math import gcd
+
+    s_orders, t_orders = src.gen_orders(), tgt.gen_orders()
+    rows = []
+    for e in t_orders:
+        row = []
+        for d in s_orders:
+            x = rng.randint(lo, hi)
+            row.append(x if not d else x * (e // gcd(d, e)) if e else 0)
+        rows.append(row)
+    return rows
+
+
 def snf_solve(st, b):
     """One integer x with M x = b for the matrix M that ``st`` reduced,
     or None: x = V q with q_i = (U b)_i / d_i."""

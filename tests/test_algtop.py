@@ -30,7 +30,14 @@ from ditop.algtop import (
 from ditop.gcomplex import parse_gcx, subdivide_2cell, subdivide_edge
 from ditop.pathspace import extend_map, path_complex, rep_path
 from ditop.values import Valuation
-from helpers import HomologyBasisBySolve, inverse_by_solve, load_data, routes
+from helpers import (
+    HomologyBasisBySolve,
+    hom_rows,
+    inverse_by_solve,
+    kills_torsion,
+    load_data,
+    routes,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from gridgen import grid  # noqa: E402
@@ -346,9 +353,48 @@ GROUPS = [
 ]
 
 
+def rand_rows(rng, src, tgt, lo, hi):
+    return [[rng.randint(lo, hi) for _ in range(src.n_gens)] for _ in range(tgt.n_gens)]
+
+
 def rand_hom(rng, src, tgt, lo=-7, hi=7):
-    rows = [[rng.randint(lo, hi) for _ in range(src.n_gens)] for _ in range(tgt.n_gens)]
-    return GroupHom.make(src, tgt, rows)
+    return GroupHom.make(src, tgt, hom_rows(rng, src, tgt, lo, hi))
+
+
+class TestMakeChecksHomomorphism:
+    """``GroupHom.make`` accepts a matrix only if every torsion generator
+    goes to an element its order kills."""
+
+    def test_examples(self):
+        # Z/2 -> Z/4 sending the generator to 1, which has order 4
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            GroupHom.make(FgAbGroup(0, (2,)), FgAbGroup(0, (4,)), [[1]])
+        # on Z + Z/4 the torsion generator would go to an element with a
+        # free part; such a map passed is_iso, but had no inverse
+        g = FgAbGroup(1, (4,))
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            GroupHom.make(g, g, ((3, 1), (-2, -3)))
+
+    def test_random_matrices(self):
+        rng = random.Random(44)
+        accepted = rejected = isos = 0
+        for _ in range(3000):
+            src = rng.choice(GROUPS)
+            tgt = src if rng.random() < 0.5 else rng.choice(GROUPS)
+            rows = rand_rows(rng, src, tgt, -3, 3)
+            if not kills_torsion(rows, src, tgt):
+                rejected += 1
+                with pytest.raises(ValueError, match="not a homomorphism"):
+                    GroupHom.make(src, tgt, rows)
+                continue
+            accepted += 1
+            h = GroupHom.make(src, tgt, rows)
+            if h.is_iso():
+                isos += 1
+                inv = h.inverse()
+                assert inv.compose(h) == GroupHom.identity(src), h
+                assert h.compose(inv) == GroupHom.identity(tgt), h
+        assert accepted > 300 and rejected > 300 and isos > 100
 
 
 class TestCompose:
@@ -511,11 +557,10 @@ class TestAgainstSolveOracle:
         isos = 0
         for _ in range(3000):
             g = rng.choice(GROUPS[1:])
-            h = rand_hom(rng, g, g, lo=-3, hi=3)
-            orders = g.gen_orders()
-            if any(d * x % t if t else d * x for row, t in zip(h.matrix, orders)
-                   for x, d in zip(row, orders) if d):
+            rows = rand_rows(rng, g, g, -3, 3)
+            if not kills_torsion(rows, g, g):
                 continue
+            h = GroupHom.make(g, g, rows)
             if not h.is_iso():
                 continue
             isos += 1

@@ -11,7 +11,7 @@ from ditop.natsys import natural_system
 from ditop.pathspace import TraceSpaceValue, trace_space
 from ditop.values import Valuation, Value, ValueMap, iso_candidates, parse_valuation
 
-from helpers import hom_pairs
+from helpers import hom_pairs, hom_rows
 
 
 class TestValuation:
@@ -71,10 +71,7 @@ class TestValueMapCompose:
                     b.components,
                     tuple(rng.randrange(b.components) for _ in range(a.components)),
                 )
-                rows = [
-                    [rng.randint(-5, 5) for _ in range(a.groups[1].n_gens)]
-                    for _ in range(b.groups[1].n_gens)
-                ]
+                rows = hom_rows(rng, a.groups[1], b.groups[1], -5, 5)
                 hom = GroupHom.make(a.groups[1], b.groups[1], rows)
                 maps.append(ValueMap(a, b, comp, (hom,)))
             first, second = maps
