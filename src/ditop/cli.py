@@ -2,7 +2,8 @@
 
 Complexes are given as GCX files or as names from the bundled gallery.
 Exit codes: 0 for success or an affirmative verdict, 1 for a negative
-verdict (NOT OPEN, BISIMILAR no), 2 for errors or an unknown verdict.
+verdict (NOT OPEN, BISIMILAR no), 2 for errors in the input or an
+unknown verdict, 3 for an internal error (a fault of the program).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import fixtures
 from .algtop import homology, pi0
 from .bisim import bisimilar, check_open
-from .errors import DitopError
+from .errors import DitopError, ParseError
 from .gcomplex import (
     GlobularComplex,
     format_gcx,
@@ -51,6 +52,7 @@ from .values import parse_valuation
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _load_complex(spec: str) -> GlobularComplex:
@@ -200,21 +202,25 @@ def cmd_naturalize(args) -> int:
     return EXIT_OK
 
 
-def _pl_from_json(pairs) -> PLMap:
-    return PLMap.from_pairs(pairs)
+def _word_from_json(data):
+    """The clocked word of a renormalize input; a malformed one is a ParseError."""
+    try:
+        word = []
+        for piece in data["word"]:
+            gamma = MoorePathPL(1, [PLMap.from_pairs(c) for c in piece["gamma"]])
+            num, den = piece["length"]
+            word.append((gamma, PLMap.from_pairs(piece["phi"]), Fraction(num, den)))
+        return word, PLMap.from_pairs(data["clock"])
+    except KeyError as err:
+        raise ParseError(f"renormalize input lacks the key {err}") from None
+    except ZeroDivisionError:
+        raise ParseError("renormalize input has a zero denominator") from None
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"malformed renormalize input: {err}") from None
 
 
 def cmd_renormalize(args) -> int:
-    data = json.loads(_read_text(args.input))
-    word = []
-    for piece in data["word"]:
-        gamma = MoorePathPL(
-            1, [_pl_from_json(comp) for comp in piece["gamma"]]
-        )
-        phi = _pl_from_json(piece["phi"])
-        num, den = piece["length"]
-        word.append((gamma, phi, Fraction(num, den)))
-    clock_in = _pl_from_json(data["clock"])
+    word, clock_in = _word_from_json(json.loads(_read_text(args.input)))
     word2, clock = renormalize(word, clock_in)
     out = {
         "word": [
@@ -344,12 +350,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DitopError as err:
+    except (DitopError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

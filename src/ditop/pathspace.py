@@ -625,7 +625,11 @@ def parse_path_spec(text: str, x: GlobularComplex) -> DirectedPathPL:
             raise ParseError(f"bad clock breakpoint {tok!r}") from None
     if not letters or not points:
         raise ParseError("path needs letters and clock breakpoints")
-    return DirectedPathPL(tuple(letters), PLMap(points))
+    try:
+        clock = PLMap(points)
+    except ValueError as err:
+        raise ParseError(f"bad clock: {err}") from None
+    return DirectedPathPL(tuple(letters), clock)
 
 
 def format_path_spec(gamma: DirectedPathPL) -> str:

@@ -3,6 +3,7 @@ across the test suite."""
 
 from fractions import Fraction
 from pathlib import Path
+import os
 import random
 
 from ditop.algtop import FgAbGroup, GroupHom, _snf, mat_identity, mat_vec, mat_zero
@@ -13,6 +14,14 @@ from ditop.reparam import MoorePathPL, PLMap
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def child_env():
+    """The environment for a child ``python -m ditop.cli``: PYTHONPATH is
+    the directory holding the ditop package this process imported."""
+    import ditop
+
+    return dict(os.environ, PYTHONPATH=str(Path(ditop.__file__).resolve().parents[1]))
 
 
 def load_data(name: str):

@@ -31,7 +31,13 @@ from ditop.reparam import (
 )
 from ditop.values import Valuation
 
-from helpers import rand_monotone, rand_moore, rand_moore_from, random_directed_path
+from helpers import (
+    child_env,
+    rand_monotone,
+    rand_moore,
+    rand_moore_from,
+    random_directed_path,
+)
 from test_reparam import _rand_word
 
 F = Fraction
@@ -78,6 +84,7 @@ def test_criterion_1_crush_not_open(capsys):
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     elapsed = time.monotonic() - start
     lines = proc.stdout.splitlines()

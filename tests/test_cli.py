@@ -8,6 +8,8 @@ from ditop.cli import main
 from ditop.gcomplex import parse_gcx, validate
 from ditop import fixtures
 
+from helpers import child_env
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -188,12 +190,65 @@ class TestRenormalize:
         assert data["clock"] == ident
 
 
+class TestUserAndInternalErrors:
+    """Bad input exits 2 with a message; a fault of the program exits 3."""
+
+    def test_unordered_clock_is_a_parse_error(self, capsys):
+        code = main(
+            ["dt", "FIX-HOLLOW", "--path", "path : a b clock: 1/1,0/1 0/1,0/1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: bad clock: breakpoint t-coordinates must strictly increase\n"
+        )
+
+    def test_renormalize_missing_key(self, tmp_path, capsys):
+        f = tmp_path / "word.json"
+        f.write_text(json.dumps({"word": [], "clok": []}))
+        code = main(["renormalize", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: renormalize input lacks the key 'clock'\n"
+
+    def test_renormalize_zero_denominator(self, tmp_path, capsys):
+        ident = [[[0, 1], [0, 1]], [[1, 1], [1, 1]]]
+        piece = {"gamma": [ident], "phi": ident, "length": [1, 0]}
+        f = tmp_path / "word.json"
+        f.write_text(json.dumps({"word": [piece], "clock": ident}))
+        code = main(["renormalize", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: renormalize input has a zero denominator\n"
+
+    def test_renormalize_bad_shape(self, tmp_path, capsys):
+        f = tmp_path / "word.json"
+        f.write_text("[1, 2]")
+        code = main(["renormalize", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: malformed renormalize input: ")
+
+    def test_internal_fault_exits_3(self, monkeypatch, capsys):
+        import ditop.cli
+
+        def broken(d):
+            raise KeyError("planted")
+
+        monkeypatch.setattr(ditop.cli, "diagram_export", broken)
+        code = main(["natsys", "FIX-A"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "internal error: KeyError: 'planted'\n"
+
+
 class TestSubprocess:
     def test_module_entrypoint(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ditop.cli", "paths", "FIX-B", "v0", "v3"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "H0(v0,v3) = Z^2" in proc.stdout
