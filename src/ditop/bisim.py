@@ -163,9 +163,10 @@ def _square_clause(f: Diagram, g: Diagram, answers: dict, triples, live):
 
     def stuck(i, eta, j, i_steps, j_steps):
         trivial_i = empty_f[i]
+        i_targets, j_targets = f.index.targets_from(i), g.index.targets_from(j)
         for i2 in i_steps:
             f_map = f.map(i, i2)
-            for j2 in g.index.targets_from(j):
+            for j2 in j_targets:
                 ks = answers.get((i2, j2))
                 if not ks:
                     continue
@@ -178,7 +179,7 @@ def _square_clause(f: Diagram, g: Diagram, answers: dict, triples, live):
         for j2 in j_steps:
             trivial = trivial_i or simple_g[j2]
             left = None
-            for i2 in f.index.targets_from(i):
+            for i2 in i_targets:
                 ks = answers.get((i2, j2))
                 if not ks:
                     continue

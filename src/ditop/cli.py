@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -353,7 +354,8 @@ def main(argv=None) -> int:
     except (DitopError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except Exception as err:
+    except Exception as err:  # a fault of the program, not of its input
+        traceback.print_exc()
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -17,10 +17,10 @@ extension the induced map; the rules per extension shape are:
   current head vertex glues the empty path, since the reduced endpoints
   agree, so the map is the identity.
 
-A diagram stores only these generator maps.  Their one relations are the
-squares where a left and a right extension of a chain commute, so the
-build checks one square per chain of three or more cells, and any other
-hom map is composed on demand.
+A diagram stores only these generator maps and composes any other hom
+map on demand.  Two factorizations of one extension differ by swaps of
+adjacent left and right steps, so the build makes the diagram functorial
+by checking one square per chain of three or more cells.
 
 The module also builds the two comparison morphisms the tool checks:
 the map induced by a cellular collapse, and the comparison of the
@@ -254,10 +254,8 @@ class _SystemBuilder:
     # -- assembly ------------------------------------------------------------
 
     def build(self) -> Diagram:
-        """Generator maps, then one square per chain b of three or more
-        cells: b[1:-1] -> b[:-1] -> b and b[1:-1] -> b[1:] -> b must agree.
-        Any two factorizations of an extension differ by swaps of adjacent
-        left and right steps, so these squares make the diagram functorial."""
+        """Generator maps, then the square of each chain b of three or more
+        cells: b[1:-1] -> b[:-1] -> b and b[1:-1] -> b[1:] -> b must agree."""
         objects = self.index.objects
         spaces = {t: self.space(t) for t in objects}
         values = {t: self.valuation.value(spaces[t]) for t in objects}

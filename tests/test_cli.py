@@ -239,7 +239,8 @@ class TestUserAndInternalErrors:
         code = main(["natsys", "FIX-A"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err == "internal error: KeyError: 'planted'\n"
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert captured.err.endswith("\ninternal error: KeyError: 'planted'\n")
 
 
 class TestSubprocess:
