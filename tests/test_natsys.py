@@ -130,11 +130,12 @@ class TestFactCat:
     def test_two_sided_square(self):
         fc = factorization_category(trace_category(fixtures.load("FIX-EDGE")))
         # left then right and right then left meet at the same object
-        assert fc.hom(("d",), ("v0", "d", "v1"))
         b = ("v0", "d", "v1")
-        assert b[1:] in fc.gens_from(("d",)) and b[:-1] in fc.gens_from(("d",))
-        assert b in fc.gens_from(b[1:]) and b in fc.gens_from(b[:-1])
-        assert b[1:][:-1] == b[:-1][1:] == ("d",)
+        assert fc.hom(("d",), b)
+        # b = u * [d] * v with u = [v0,d] = b[:-1] and v = [d,v1] = b[1:]
+        assert b[:-1] == ("v0", "d") and b[1:] == ("d", "v1")
+        assert set(fc.gens_from(("d",))) == {b[:-1], b[1:]}
+        assert b in fc.gens_from(b[:-1]) and b in fc.gens_from(b[1:])
 
 
 def with_single_step_splits(name):
@@ -271,6 +272,7 @@ class TestHomMaps:
     @pytest.mark.parametrize("label, x, val", CASES, ids=[c[0] for c in CASES])
     def test_map_matches_closure(self, label, x, val):
         d = natural_system(x, val)
+        assert list(d.maps) == list(d.index.generators()), label
         oracle = closure_maps(d)
         pairs = hom_pairs(d.index)
         assert set(oracle) == set(pairs), label
@@ -279,7 +281,7 @@ class TestHomMaps:
 
     def test_non_morphism_rejected(self):
         d = natural_system(fixtures.load("FIX-EDGE"), PI0)
-        with pytest.raises((NotFunctorial, KeyError)):
+        with pytest.raises(NotFunctorial, match="no morphism"):
             d.map(("v1",), ("v0", "d"))
 
     def test_corrupted_generator_fails_a_square(self):
